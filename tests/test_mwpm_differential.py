@@ -1,0 +1,258 @@
+"""The sparse MWPM decoder against a dense reference.
+
+The reference is the textbook construction, kept here only as a slow oracle:
+a full Dijkstra from every defect, the complete defect graph, one boundary
+node per defect with a boundary clique, and networkx blossom on all of it.
+"""
+
+import heapq
+import itertools
+import math
+import random
+from dataclasses import replace
+
+import networkx as nx
+import pytest
+
+from lazyqec.code_model import (
+    CheckBasis,
+    build_rotated_surface_code,
+    build_schedule,
+    build_toric_code,
+)
+from lazyqec.decoders import mwpm_decode, mwpm_matching_weight
+from lazyqec.graph import (
+    DecodingGraph,
+    Syndrome,
+    build_decoding_graph,
+    build_perfect_graph,
+    make_graph,
+)
+from lazyqec.noise import NoiseMode, NoiseParams
+
+
+def _dijkstra(graph, source):
+    dist = {source: 0.0}
+    pred = {}
+    heap = [(0.0, source)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist.get(v, math.inf):
+            continue
+        for u, eid in graph.neighbors.get(v, ()):
+            nd = d + graph.edges[eid].weight
+            if nd < dist.get(u, math.inf):
+                dist[u] = nd
+                pred[u] = (v, eid)
+                heapq.heappush(heap, (nd, u))
+    return dist, pred
+
+
+def _walk(pred, source, target):
+    path = []
+    v = target
+    while v != source:
+        v, eid = pred[v]
+        path.append(eid)
+    return path
+
+
+def dense_mwpm(graph, syndrome):
+    """(correction, matching weight) by the dense construction."""
+    defects = sorted(syndrome.defects)
+    n = len(defects)
+    if n == 0:
+        return frozenset(), 0.0
+    has_boundary = bool(graph.half_edge_id)
+    if n % 2 == 1 and not has_boundary:
+        raise ValueError("odd defect count in a graph without boundary")
+
+    dists, preds, bpartner = [], [], []
+    for v in defects:
+        dist, pred = _dijkstra(graph, v)
+        dists.append(dist)
+        preds.append(pred)
+        best = None
+        for hv, heid in graph.half_edge_id.items():
+            dv = dist.get(hv)
+            if dv is None:
+                continue
+            total = dv + graph.half_edges[heid - len(graph.edges)].weight
+            if best is None or total < best[0]:
+                best = (total, hv, heid)
+        bpartner.append(best)
+
+    g = nx.Graph()
+    big = sum(e.weight for e in graph.edges) + sum(e.weight for e in graph.half_edges) + 1.0
+    for i, j in itertools.combinations(range(n), 2):
+        dij = dists[i].get(defects[j])
+        if dij is not None:
+            g.add_edge(("d", i), ("d", j), weight=big - dij)
+    if has_boundary:
+        for i in range(n):
+            if bpartner[i] is not None:
+                g.add_edge(("d", i), ("b", i), weight=big - bpartner[i][0])
+        for i, j in itertools.combinations(range(n), 2):
+            g.add_edge(("b", i), ("b", j), weight=big)
+
+    matching = nx.max_weight_matching(g, maxcardinality=True)
+    paired = dict(matching) | {b: a for a, b in matching}
+    if any(("d", i) not in paired for i in range(n)):
+        raise ValueError("defects could not be perfectly matched")
+
+    correction = set()
+    total = 0.0
+    for i in range(n):
+        mate = paired[("d", i)]
+        if mate[0] == "d":
+            j = mate[1]
+            if j < i:
+                continue
+            total += dists[i][defects[j]]
+            correction.symmetric_difference_update(_walk(preds[i], defects[i], defects[j]))
+        else:
+            total += bpartner[i][0]
+            _, hv, heid = bpartner[i]
+            correction.symmetric_difference_update(_walk(preds[i], defects[i], hv))
+            correction.symmetric_difference_update({heid})
+    return frozenset(correction), total
+
+
+def _assert_matches_reference(graph, syndrome):
+    try:
+        _, want = dense_mwpm(graph, syndrome)
+    except ValueError:
+        with pytest.raises(ValueError):
+            mwpm_decode(graph, syndrome)
+        return
+    assert mwpm_matching_weight(graph, syndrome) == pytest.approx(want, rel=1e-9, abs=1e-12)
+    correction = mwpm_decode(graph, syndrome)
+    assert graph.correction_syndrome(correction) == syndrome.defects
+
+
+def _syndromes(graph, rng, count, even=False):
+    """Mostly sparse random defect sets, every fifth one dense."""
+    t0 = 1 if graph.drop_initial and graph.rounds > 1 else 0
+    verts = [(q, t) for t in range(t0, graph.rounds) for q in range(graph.n_checks)]
+    for k in range(count):
+        if k % 5 == 4:
+            n = min(rng.randint(20, 36), len(verts) // 2)
+        else:
+            n = min(rng.randint(1, 12), len(verts))
+        chosen = rng.sample(verts, n)
+        if even and n % 2:
+            chosen.pop()
+        yield Syndrome(frozenset(chosen))
+
+
+def _toric_d20():
+    return build_perfect_graph(
+        build_toric_code(20), NoiseParams(1e-3, NoiseMode.PERFECT_MEASUREMENT)
+    )
+
+
+def _closed_d9():
+    lay = build_rotated_surface_code(9)
+    return build_decoding_graph(
+        lay, build_schedule(lay), 10, NoiseParams(1e-3), CheckBasis.X,
+        drop_initial=False, noisy_rounds=9,
+    )
+
+
+def _open_d5():
+    lay = build_rotated_surface_code(5)
+    return build_decoding_graph(lay, build_schedule(lay), 5, NoiseParams(1e-3), CheckBasis.X)
+
+
+def _planar_d5():
+    return build_perfect_graph(
+        build_rotated_surface_code(5), NoiseParams(0.05, NoiseMode.PERFECT_MEASUREMENT)
+    )
+
+
+@pytest.mark.parametrize(
+    "build, seed",
+    [(_toric_d20, 1), (_closed_d9, 2), (_open_d5, 3), (_planar_d5, 4)],
+    ids=["toric_d20", "closed_d9", "open_d5", "planar_d5"],
+)
+def test_sparse_mwpm_equals_dense_reference(build, seed):
+    graph = build()
+    rng = random.Random(seed)
+    for syndrome in _syndromes(graph, rng, 200, even=not graph.half_edge_id):
+        _assert_matches_reference(graph, syndrome)
+
+
+def _weighted_graph(edge_ps, half_ps):
+    """A ``make_graph`` graph whose edges each get their own probability."""
+    base = make_graph([uv for uv, _ in edge_ps], [v for v, _ in half_ps])
+
+    def reweight(e, p):
+        return replace(e, probability=p, weight=math.log((1 - p) / p))
+
+    return DecodingGraph(
+        None, CheckBasis.X, 1,
+        [reweight(e, p) for e, (_, p) in zip(base.edges, edge_ps)],
+        [reweight(e, p) for e, (_, p) in zip(base.half_edges, half_ps)],
+        drop_initial=False,
+        centers=[(q, 0) for q in range(base.n_checks)],
+    )
+
+
+def test_parallel_and_zero_weight_edges_match_reference():
+    rng = random.Random(5)
+    probabilities = (0.5, 0.5, 0.3, 0.1, 0.01, 0.001)
+    for _ in range(30):
+        n_v = rng.randint(4, 14)
+        edge_ps = []
+        for _ in range(rng.randint(n_v, 3 * n_v)):
+            u, v = rng.sample(range(n_v), 2)
+            edge_ps.append((((u, 0), (v, 0)), rng.choice(probabilities)))
+        # parallel copies with a different weight, in either orientation
+        for (u, v), _ in rng.sample(edge_ps, len(edge_ps) // 3):
+            edge_ps.append(((v, u), rng.choice(probabilities)))
+        half_ps = [((q, 0), rng.choice(probabilities))
+                   for q in range(n_v) if rng.random() < 0.3]
+        graph = _weighted_graph(edge_ps, half_ps)
+        verts = sorted({v for uv, _ in edge_ps for v in uv})
+        for _ in range(30):
+            chosen = rng.sample(verts, rng.randint(1, len(verts)))
+            _assert_matches_reference(graph, Syndrome(frozenset(chosen)))
+
+
+def test_all_zero_weight_graph():
+    graph = make_graph(
+        [((0, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 0), (3, 0)), ((0, 0), (1, 0))],
+        [(3, 0)], p=0.5,
+    )
+    for chosen in ([(0, 0)], [(0, 0), (2, 0)], [(0, 0), (1, 0), (2, 0)]):
+        s = Syndrome(frozenset(chosen))
+        assert mwpm_matching_weight(graph, s) == 0.0
+        assert graph.correction_syndrome(mwpm_decode(graph, s)) == s.defects
+
+
+def test_defect_without_incident_edge_raises():
+    graph = _open_d5()
+    lonely = (0, 0)    # round 0 of a drop_initial window has no detectors
+    assert lonely not in graph.neighbors and lonely not in graph.half_edge_id
+    for defects in ({lonely}, {lonely, (0, 1)}, {lonely, (0, 1), (1, 2)}):
+        with pytest.raises(ValueError, match="defects could not be perfectly matched"):
+            mwpm_decode(graph, Syndrome(frozenset(defects)))
+
+
+def test_odd_component_without_boundary_raises():
+    # a triangle with no half-edge, next to a path that reaches the boundary
+    graph = make_graph(
+        [((0, 0), (1, 0)), ((1, 0), (2, 0)), ((0, 0), (2, 0)), ((3, 0), (4, 0))],
+        [(4, 0)],
+    )
+    for defects in ({(0, 0)}, {(0, 0), (3, 0)}, {(0, 0), (1, 0), (2, 0)},
+                    {(0, 0), (1, 0), (2, 0), (3, 0)}):
+        with pytest.raises(ValueError, match="defects could not be perfectly matched"):
+            mwpm_decode(graph, Syndrome(frozenset(defects)))
+    # an even count split into two odd components, on a graph without boundary
+    split = make_graph([((0, 0), (1, 0)), ((2, 0), (3, 0))])
+    with pytest.raises(ValueError, match="defects could not be perfectly matched"):
+        mwpm_decode(split, Syndrome(frozenset({(0, 0), (2, 0)})))
+    # the even part of the first graph still decodes
+    s = Syndrome(frozenset({(0, 0), (2, 0), (3, 0)}))
+    assert graph.correction_syndrome(mwpm_decode(graph, s)) == s.defects

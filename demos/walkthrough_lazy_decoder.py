@@ -12,8 +12,8 @@ from lazyqec import Syndrome, lazy_decode, make_graph
 A, B, C, D = (0, 0), (1, 0), (2, 0), (3, 0)
 
 
-def show(title, graph, defects, **kw):
-    out = lazy_decode(graph, Syndrome.of(defects), **kw)
+def show(title, graph, defects):
+    out = lazy_decode(graph, Syndrome.of(defects))
     verdict = "success" if out.success else f"failure ({out.failure.value})"
     print(f"{title:46s} defects={sorted(q for q, _ in defects)!s:12s} -> {verdict}", end="")
     if out.success:
@@ -45,8 +45,6 @@ def main():
     )
     defects = [v[2], v[3], v[4], v[7], v[8], v[9]]
     show("two ambiguous boundary matches", twin, defects)
-    show("  same, ambiguity vs working set", twin, defects,
-         ambiguity_against_working_set=True)
 
 
 if __name__ == "__main__":

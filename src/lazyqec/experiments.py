@@ -14,6 +14,7 @@ import math
 import multiprocessing
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .code_model import (
 from .decoders import DecoderKind, decode
 from .graph import DecodingGraph, Syndrome, build_decoding_graph, build_perfect_graph
 from .lazy import lazy_decode
-from .noise import FaultEvent, NoiseMode, NoiseParams, trial_rng
+from .noise import FaultSampler, NoiseMode, NoiseParams, trial_rng
 from .resources import RequirementReport, SystemParams, requirement_report, select_distance
 
 
@@ -79,32 +80,6 @@ def estimate_from_counts(k: int, n: int, seed: int) -> Estimate:
         return Estimate(0.0, 0.0, min(1.0, 3.0 / n), n, seed, censored=True)
     lo, hi = wilson_interval(k, n)
     return Estimate(k / n, lo, hi, n, seed)
-
-
-# --- fast per-window fault sampling ------------------------------------------
-
-
-class _WindowSampler:
-    """Vectorized circuit-level fault sampling over a fixed window."""
-
-    def __init__(self, graph: DecodingGraph, p: float):
-        census = graph.census
-        if census is None:
-            raise ValueError("graph carries no circuit census")
-        self.census = census
-        self.rounds = graph.noisy_rounds
-        per_round = np.array([loc.fault_probability(p) for loc in census])
-        self.pvec = np.tile(per_round, self.rounds)
-        self.n_loc = len(census)
-
-    def sample(self, rng: np.random.Generator) -> list[FaultEvent]:
-        hits = np.nonzero(rng.random(self.pvec.size) < self.pvec)[0]
-        out = []
-        for i in hits:
-            loc = self.census[i % self.n_loc]
-            choice = int(rng.integers(loc.n_choices)) if loc.n_choices > 1 else 0
-            out.append(FaultEvent(int(i) // self.n_loc, loc, choice))
-        return out
 
 
 # --- worker pool --------------------------------------------------------------
@@ -175,7 +150,7 @@ def estimate_p_fail(
     layout = build_rotated_surface_code(d)
     schedule = build_schedule(layout)
     graph = build_decoding_graph(layout, schedule, d, NoiseParams(p), basis)
-    sampler = _WindowSampler(graph, p)
+    sampler = FaultSampler(graph.census, graph.noisy_rounds, p)
     results = _run_trials(_p_fail_trial, (graph, sampler), seed, trials, workers)
     return estimate_from_counts(sum(results), trials, seed)
 
@@ -183,16 +158,31 @@ def estimate_p_fail(
 # --- logical error rates -------------------------------------------------------
 
 
-def _perfect_trial(payload, seed, trial) -> bool:
-    layout, graph, kind, p, edge_of_qubit = payload
-    rng = trial_rng(seed, trial)
-    hits = np.nonzero(rng.random(layout.n_data) < p)[0]
-    error = frozenset(int(q) for q in hits)
-    defects: set = set()
-    for q in error:
-        e = graph.edge(edge_of_qubit[q])
-        defects.symmetric_difference_update((e.u,) if e.v is None else (e.u, e.v))
-    syndrome = Syndrome(frozenset(defects))
+def _edge_errors(graph: DecodingGraph, probs: np.ndarray, rng) -> tuple[Syndrome, int]:
+    """Perfect-measurement errors: each graph edge, one data qubit, flips
+    independently with its probability.  Returns the syndrome and the
+    logical-flip mask."""
+    hits = np.flatnonzero(rng.random(probs.size) < probs).tolist()
+    return Syndrome(graph.correction_syndrome(hits)), graph.obs_of_edges(hits)
+
+
+def _fault_errors(graph: DecodingGraph, sampler: FaultSampler, rng) -> tuple[Syndrome, int]:
+    """Circuit-level faults over the window's noisy rounds.  Returns the
+    syndrome and the logical-flip mask."""
+    faults = sampler.sample(rng)
+    return graph.syndrome_of_faults(faults), graph.obs_of_faults(faults)
+
+
+def _edge_sampler(graph: DecodingGraph):
+    probs = np.array([graph.edge(eid).probability for eid in range(graph.n_edges)])
+    return partial(_edge_errors, graph, probs)
+
+
+def _logical_trial(payload, seed, trial) -> bool:
+    """One window: sample an error, decode it, and compare the logical-flip
+    masks of error and correction."""
+    graph, sample, kind = payload
+    syndrome, error_obs = sample(trial_rng(seed, trial))
     if kind is DecoderKind.LAZY:
         outcome = lazy_decode(graph, syndrome)
         if not outcome.success:
@@ -200,27 +190,9 @@ def _perfect_trial(payload, seed, trial) -> bool:
         correction = outcome.correction
     else:
         correction = decode(graph, syndrome, kind).correction
-    residual = set(error)
-    for eid in correction:
-        residual.symmetric_difference_update(graph.edge(eid).frame)
-    from .graph import is_logical_failure
-
-    return is_logical_failure(layout, residual, CheckBasis.Z)
-
-
-def _circuit_trial(payload, seed, trial) -> bool:
-    graph, sampler, kind = payload
-    rng = trial_rng(seed, trial)
-    faults = sampler.sample(rng)
-    syndrome = graph.syndrome_of_faults(faults)
-    if kind is DecoderKind.LAZY:
-        outcome = lazy_decode(graph, syndrome)
-        if not outcome.success:
-            return True
-        correction = outcome.correction
-    else:
-        correction = decode(graph, syndrome, kind).correction
-    return (graph.obs_of_faults(faults) ^ graph.obs_of_edges(correction)) != 0
+    if graph.correction_syndrome(correction) != syndrome.defects:
+        raise ValueError("correction does not reproduce the syndrome")
+    return (error_obs ^ graph.obs_of_edges(correction)) != 0
 
 
 def estimate_logical_error(
@@ -239,7 +211,9 @@ def estimate_logical_error(
     Perfect-measurement mode draws independent Z data errors on a single
     2D slice (toric layout by default).  Circuit-level mode decodes a closed
     window of d noisy rounds plus one noiseless closing round (rotated layout
-    by default) and compares logical flips of error and correction.
+    by default).  Either way a trial fails when the logical flips of error
+    and correction differ; a correction that does not reproduce the syndrome
+    raises ``ValueError``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -249,9 +223,7 @@ def estimate_logical_error(
         kind = layout_kind or CodeKind.TORIC_2D
         layout = _build_layout(kind, d)
         graph = build_perfect_graph(layout, NoiseParams(p, mode), CheckBasis.X)
-        edge_of_qubit = _edge_of_qubit(graph, layout)
-        payload = (layout, graph, decoder_kind, p, edge_of_qubit)
-        results = _run_trials(_perfect_trial, payload, seed, trials, workers)
+        sample = _edge_sampler(graph)
     else:
         kind = layout_kind or CodeKind.ROTATED_SURFACE
         layout = _build_layout(kind, d)
@@ -260,22 +232,10 @@ def estimate_logical_error(
             layout, schedule, d + 1, NoiseParams(p), CheckBasis.X,
             drop_initial=False, noisy_rounds=d,
         )
-        sampler = _WindowSampler(graph, p)
-        results = _run_trials(_circuit_trial, (graph, sampler, decoder_kind), seed, trials, workers)
+        sampler = FaultSampler(graph.census, graph.noisy_rounds, p)
+        sample = partial(_fault_errors, graph, sampler)
+    results = _run_trials(_logical_trial, (graph, sample, decoder_kind), seed, trials, workers)
     return estimate_from_counts(sum(results), trials, seed)
-
-
-def _edge_of_qubit(graph: DecodingGraph, layout: CodeLayout) -> dict[int, int]:
-    """Map each data qubit to its edge in a single-slice graph via the
-    representative error frames."""
-    out: dict[int, int] = {}
-    for eid in range(graph.n_edges):
-        for q in graph.edge(eid).frame:
-            out[q] = eid
-    missing = set(range(layout.n_data)) - set(out)
-    if missing:
-        raise ValueError(f"qubits without an edge: {sorted(missing)}")
-    return out
 
 
 # --- paired runtime benchmark ----------------------------------------------------
@@ -291,38 +251,34 @@ def benchmark_runtime(
     layout_kind: CodeKind = CodeKind.TORIC_2D,
 ) -> dict[DecoderKind, dict[str, float]]:
     """Wall-time statistics per decoder kind over an identical instance
-    stream (perfect-measurement mode).  Timings cover the decode call only."""
+    stream (perfect-measurement mode).  Timings cover the decode call only.
+    Each syndrome is decoded by every kind in turn, starting one kind later
+    on each syndrome, so drift in machine speed hits all kinds alike."""
     layout = _build_layout(layout_kind, d)
     graph = build_perfect_graph(layout, NoiseParams(p, NoiseMode.PERFECT_MEASUREMENT))
-    edge_of_qubit = _edge_of_qubit(graph, layout)
+    sample = _edge_sampler(graph)
+    syndromes = [sample(trial_rng(seed, i))[0] for i in range(trials)]
 
-    syndromes: list[Syndrome] = []
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        hits = np.nonzero(rng.random(layout.n_data) < p)[0]
-        defects: set = set()
-        for q in hits:
-            e = graph.edge(edge_of_qubit[int(q)])
-            defects.symmetric_difference_update((e.u,) if e.v is None else (e.u, e.v))
-        syndromes.append(Syndrome(frozenset(defects)))
-
-    out: dict[DecoderKind, dict[str, float]] = {}
-    for kind in decoder_kinds:
-        times = np.empty(trials)
-        fallbacks = 0
-        for i, syndrome in enumerate(syndromes):
+    times = np.empty((len(decoder_kinds), trials))
+    fallbacks = [0] * len(decoder_kinds)
+    order = list(range(len(decoder_kinds)))
+    for i, syndrome in enumerate(syndromes):
+        for j in order:
             t0 = time.perf_counter()
-            rec = decode(graph, syndrome, kind)
-            times[i] = time.perf_counter() - t0
-            fallbacks += rec.used_fallback
-        out[kind] = {
-            "mean": float(times.mean()),
-            "p99": float(np.percentile(times, 99)),
-            "max": float(times.max()),
-            "total": float(times.sum()),
-            "fallback_fraction": fallbacks / trials,
+            rec = decode(graph, syndrome, decoder_kinds[j])
+            times[j, i] = time.perf_counter() - t0
+            fallbacks[j] += rec.used_fallback
+        order = order[1:] + order[:1]
+    return {
+        kind: {
+            "mean": float(times[j].mean()),
+            "p99": float(np.percentile(times[j], 99)),
+            "max": float(times[j].max()),
+            "total": float(times[j].sum()),
+            "fallback_fraction": fallbacks[j] / trials,
         }
-    return out
+        for j, kind in enumerate(decoder_kinds)
+    }
 
 
 # --- bandwidth curves and the requirement table -----------------------------------

@@ -61,8 +61,7 @@ class Edge:
     probability: float
     weight: float
     kind: str                  # space | time | diagonal | boundary | time_boundary
-    obs: int | None            # logical-flip bitmask of the representative frame
-    frame: frozenset[int]      # representative residual data error
+    obs: int | None            # logical-flip bitmask of the representative fault
 
     @property
     def is_half(self) -> bool:
@@ -220,12 +219,6 @@ class DecodingGraph:
             out.append((q, t))
         return tuple(out)
 
-    def fault_edge_id(self, event: FaultEvent) -> int | None:
-        verts = self.fault_vertices(event)
-        if not verts:
-            return None
-        return self.edge_id_by_key.get(_edge_key(*sorted(verts)) if len(verts) == 2 else (verts[0],))
-
     def syndrome_of_faults(self, events: Iterable[FaultEvent]) -> Syndrome:
         acc: set[Vertex] = set()
         for ev in events:
@@ -331,10 +324,12 @@ class _StepOps:
     def __init__(self):
         self.prep: set[int] = set()
         self.cnot_of: dict[int, tuple[int, int]] = {}
-        self.meas_of: dict[int, tuple[CheckBasis, int]] = {}
+        # ancilla -> (measured basis, check basis, index among that basis' checks)
+        self.meas_of: dict[int, tuple[CheckBasis, CheckBasis, int]] = {}
 
 
-def _compile_steps(schedule: CircuitSchedule) -> list[_StepOps]:
+def _compile_steps(layout: CodeLayout, schedule: CircuitSchedule) -> list[_StepOps]:
+    plaquettes = {p.index: p for p in layout.plaquettes}
     out = []
     for events in schedule.steps:
         ops = _StepOps()
@@ -345,28 +340,26 @@ def _compile_steps(schedule: CircuitSchedule) -> list[_StepOps]:
                 ops.cnot_of[ev.control] = (ev.control, ev.target)
                 ops.cnot_of[ev.target] = (ev.control, ev.target)
             elif isinstance(ev, MeasureAncilla):
-                ops.meas_of[ev.qubit] = (ev.basis, ev.plaquette)
+                plq = plaquettes[ev.plaquette]
+                ops.meas_of[ev.qubit] = (ev.basis, plq.basis, plq.basis_index)
         out.append(ops)
     return out
 
 
-def _propagate_fault(
-    layout: CodeLayout,
-    steps: list[_StepOps],
-    loc: FaultLocation,
-    choice: int,
-    plaq_basis_index: dict[int, tuple[CheckBasis, int]],
-    mini_rounds: int = 4,
-):
-    """Propagate a single fault through a clean circuit.
+def _replay(steps: list[_StepOps], n_data: int, rounds: int, faults: Iterable[FaultEvent]):
+    """Replay faults through ``rounds`` clean extraction rounds, propagating
+    them as a sparse Pauli frame.  A fault acts right after the timestep of
+    its location.
 
-    Returns raw syndrome flips ``{basis: {(check, round)}}`` and the final
+    Returns the raw syndrome flips ``{basis: {(check, round)}}`` and the final
     (x, z) data frames as qubit-id sets.
     """
+    # Faults in reverse (round, step) order, so the next one is popped off the end.
+    pending = sorted(faults, key=lambda ev: (ev.round, ev.location.step))[::-1]
     frame: dict[int, list[int]] = {}   # qubit -> [x, z]
     s_flips: dict[CheckBasis, set[tuple[int, int]]] = {CheckBasis.X: set(), CheckBasis.Z: set()}
 
-    for t in range(mini_rounds):
+    for t in range(rounds):
         for step_idx, ops in enumerate(steps):
             if frame:
                 for q in [q for q in frame if q in ops.prep]:
@@ -378,22 +371,21 @@ def _propagate_fault(
                     ft[0] ^= fc[0]   # X propagates control -> target
                     fc[1] ^= ft[1]   # Z propagates target -> control
                 for q in [q for q in frame if q in ops.meas_of]:
-                    basis, plq = ops.meas_of[q]
-                    flip = frame[q][0] if basis is CheckBasis.Z else frame[q][1]
-                    if flip:
-                        b, bidx = plaq_basis_index[plq]
-                        s_flips[b].symmetric_difference_update({(bidx, t)})
-            if t == 0 and step_idx == loc.step:
+                    basis, b, bidx = ops.meas_of[q]
+                    if frame[q][0] if basis is CheckBasis.Z else frame[q][1]:
+                        s_flips[b] ^= {(bidx, t)}
+            while pending and pending[-1].round == t and pending[-1].location.step == step_idx:
+                ev = pending.pop()
+                loc = ev.location
                 if loc.kind is LocationKind.MEAS:
-                    b, bidx = plaq_basis_index[loc.plaquette]
-                    s_flips[b].symmetric_difference_update({(bidx, t)})
+                    _, b, bidx = ops.meas_of[loc.qubits[0]]
+                    s_flips[b] ^= {(bidx, t)}
                 else:
-                    for q, x, z in fault_pauli_bits(loc, choice):
+                    for q, x, z in fault_pauli_bits(loc, ev.choice):
                         f = frame.setdefault(q, [0, 0])
                         f[0] ^= x
                         f[1] ^= z
 
-    n_data = layout.n_data
     x_frame = frozenset(q for q, f in frame.items() if q < n_data and f[0])
     z_frame = frozenset(q for q, f in frame.items() if q < n_data and f[1])
     return s_flips, x_frame, z_frame
@@ -423,48 +415,13 @@ def simulate_window(
     Returns per-basis raw syndrome bit arrays of shape ``(rounds, n_checks)``
     and the final (x, z) data frames.  Used to cross-validate the fault map.
     """
-    plaq_basis_index = {
-        p.index: (p.basis, p.basis_index) for p in layout.plaquettes
-    }
-    steps = _compile_steps(schedule)
-    n = {b: len(layout.checks(b)) for b in CheckBasis}
-    s = {b: np.zeros((rounds, n[b]), dtype=np.uint8) for b in CheckBasis}
-    by_pos: dict[tuple[int, int], list[FaultEvent]] = {}
-    for ev in faults:
-        by_pos.setdefault((ev.round, ev.location.step), []).append(ev)
-
-    frame: dict[int, list[int]] = {}
-    for t in range(rounds):
-        for step_idx, ops in enumerate(steps):
-            if frame:
-                for q in [q for q in frame if q in ops.prep]:
-                    del frame[q]
-                touched = {ops.cnot_of[q] for q in frame if q in ops.cnot_of}
-                for c, tgt in touched:
-                    fc = frame.setdefault(c, [0, 0])
-                    ft = frame.setdefault(tgt, [0, 0])
-                    ft[0] ^= fc[0]
-                    fc[1] ^= ft[1]
-                for q in [q for q in frame if q in ops.meas_of]:
-                    basis, plq = ops.meas_of[q]
-                    flip = frame[q][0] if basis is CheckBasis.Z else frame[q][1]
-                    if flip:
-                        b, bidx = plaq_basis_index[plq]
-                        s[b][t, bidx] ^= 1
-            for ev in by_pos.get((t, step_idx), ()):
-                loc = ev.location
-                if loc.kind is LocationKind.MEAS:
-                    b, bidx = plaq_basis_index[loc.plaquette]
-                    s[b][t, bidx] ^= 1
-                else:
-                    for q, x, z in fault_pauli_bits(loc, ev.choice):
-                        f = frame.setdefault(q, [0, 0])
-                        f[0] ^= x
-                        f[1] ^= z
-
-    n_data = layout.n_data
-    x_frame = frozenset(q for q, f in frame.items() if q < n_data and f[0])
-    z_frame = frozenset(q for q, f in frame.items() if q < n_data and f[1])
+    steps = _compile_steps(layout, schedule)
+    s_flips, x_frame, z_frame = _replay(steps, layout.n_data, rounds, faults)
+    s = {}
+    for b in CheckBasis:
+        s[b] = np.zeros((rounds, len(layout.checks(b))), dtype=np.uint8)
+        for bidx, t in s_flips[b]:
+            s[b][t, bidx] = 1
     return s, x_frame, z_frame
 
 
@@ -526,20 +483,18 @@ def is_logical_failure(
 
 
 class _EdgeAcc:
-    __slots__ = ("pi", "obs", "frame", "has_spatial_half", "conflict")
+    __slots__ = ("pi", "obs", "has_spatial_half", "conflict")
 
     def __init__(self):
         self.pi = 1.0          # prod (1 - 2 p_i) over contributing faults
         self.obs = None
-        self.frame = frozenset()
         self.has_spatial_half = False
         self.conflict = False
 
-    def add(self, p: float, obs: int, frame: frozenset[int]):
+    def add(self, p: float, obs: int):
         self.pi *= 1.0 - 2.0 * p
         if self.obs is None:
             self.obs = obs
-            self.frame = frame
         elif self.obs != obs:
             self.conflict = True
 
@@ -575,8 +530,7 @@ def build_decoding_graph(
         raise ValueError("noisy_rounds must lie in [0, rounds]")
 
     census = round_census(schedule)
-    steps = _compile_steps(schedule)
-    plaq_basis_index = {p.index: (p.basis, p.basis_index) for p in layout.plaquettes}
+    steps = _compile_steps(layout, schedule)
     logicals = layout.logical_supports(
         CheckBasis.Z if basis is CheckBasis.X else CheckBasis.X
     )
@@ -589,9 +543,8 @@ def build_decoding_graph(
     for loc in census:
         p_loc = loc.fault_probability(noise.p)
         for choice in range(loc.n_choices):
-            s_flips, x_frame, z_frame = _propagate_fault(
-                layout, steps, loc, choice, plaq_basis_index, mini
-            )
+            fault = FaultEvent(0, loc, choice)
+            s_flips, x_frame, z_frame = _replay(steps, layout.n_data, mini, [fault])
             pattern = _diff_pattern(s_flips[basis], mini)
             if len(pattern) > 2:
                 raise ScheduleError(
@@ -605,7 +558,7 @@ def build_decoding_graph(
             obs = _obs_mask(frame, logicals)
             template_obs[(loc.index, choice)] = obs
             acc = merged.setdefault(pattern, _EdgeAcc())
-            acc.add(p_loc / loc.n_choices, obs, frame)
+            acc.add(p_loc / loc.n_choices, obs)
 
     # Place the templates in every noisy round, clipping at window boundaries.
     acc_by_key: dict[tuple, _EdgeAcc] = {}
@@ -628,7 +581,7 @@ def build_decoding_graph(
                 continue
             key = _edge_key(*sorted(verts)) if len(verts) == 2 else (verts[0],)
             acc = acc_by_key.setdefault(key, _EdgeAcc())
-            acc.add(tpl_acc.probability, tpl_acc.obs or 0, tpl_acc.frame)
+            acc.add(tpl_acc.probability, tpl_acc.obs or 0)
             if tpl_acc.conflict:
                 acc.conflict = True
             if len(verts) == 1 and len(pattern) == 1:
@@ -640,16 +593,16 @@ def build_decoding_graph(
         if acc.conflict:
             # Merged faults disagree on the logical flip (e.g. a boundary
             # half-edge reachable from either side).  The edge keeps the
-            # parity of its representative frame; a disagreeing fault then
+            # parity of its representative fault; a disagreeing fault then
             # correctly shows up as a logical failure of the window.
             conflicts += 1
         obs = acc.obs
         if len(key) == 2:
             u, v = key
-            edges.append(Edge(u, v, p_e, _weight(p_e), _edge_kind(u, v), obs, acc.frame))
+            edges.append(Edge(u, v, p_e, _weight(p_e), _edge_kind(u, v), obs))
         else:
             kind = "boundary" if acc.has_spatial_half else "time_boundary"
-            half_edges.append(Edge(key[0], None, p_e, _weight(p_e), kind, obs, acc.frame))
+            half_edges.append(Edge(key[0], None, p_e, _weight(p_e), kind, obs))
 
     centers = [p.center for p in layout.checks(basis)]
     graph = DecodingGraph(
@@ -697,10 +650,10 @@ def make_graph(
         centers = [(q, 0) for q in range(n_checks)]
     w = _weight(p)
     edges = [
-        Edge(min(u, v), max(u, v), p, w, _edge_kind(u, v), 0, frozenset())
+        Edge(min(u, v), max(u, v), p, w, _edge_kind(u, v), 0)
         for u, v in edge_pairs
     ]
-    halves = [Edge(v, None, p, w, "boundary", 0, frozenset()) for v in half_vertices]
+    halves = [Edge(v, None, p, w, "boundary", 0) for v in half_vertices]
     return DecodingGraph(
         None, CheckBasis.X, rounds, edges, halves, drop_initial=False, centers=centers
     )
@@ -727,13 +680,12 @@ def build_perfect_graph(
     edges, half_edges = [], []
     for q in range(layout.n_data):
         plqs = membership.get(q, [])
-        frame = frozenset({q})
-        obs = _obs_mask(frame, logicals)
+        obs = _obs_mask(frozenset({q}), logicals)
         if len(plqs) == 2:
             u, v = sorted(((plqs[0], 0), (plqs[1], 0)))
-            edges.append(Edge(u, v, p, _weight(p), "space", obs, frame))
+            edges.append(Edge(u, v, p, _weight(p), "space", obs))
         elif len(plqs) == 1:
-            half_edges.append(Edge((plqs[0], 0), None, p, _weight(p), "boundary", obs, frame))
+            half_edges.append(Edge((plqs[0], 0), None, p, _weight(p), "boundary", obs))
         else:
             raise AssertionError(f"data qubit {q} invisible to basis {basis.value}")
     centers = [plq.center for plq in checks]

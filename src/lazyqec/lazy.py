@@ -42,17 +42,11 @@ class LazyOutcome(NamedTuple):
 _EMPTY_SUCCESS = LazyOutcome(frozenset(), None, 0)
 
 
-def lazy_decode(
-    graph: DecodingGraph,
-    syndrome: Syndrome,
-    *,
-    ambiguity_against_working_set: bool = False,
-) -> LazyOutcome:
+def lazy_decode(graph: DecodingGraph, syndrome: Syndrome) -> LazyOutcome:
     """Single pass over edges then half-edges, in canonical scan order.
 
     The ambiguity test checks the defect's neighbors against the original
-    defect set, following the pseudocode literally; the keyword switches to
-    the working set for comparison experiments.
+    defect set, following the pseudocode literally.
     """
     defects = syndrome.defects
     if not defects:
@@ -90,8 +84,7 @@ def lazy_decode(
             continue
         correction.add(half[v])
         working.discard(v)
-        reference = working if ambiguity_against_working_set else defects
-        if graph.neighbor_set(v) & reference:
+        if graph.neighbor_set(v) & defects:
             n_amb += 1
             if n_amb > 1:
                 return LazyOutcome(None, LazyFailure.TOO_MANY_AMBIGUOUS, n_amb)
@@ -122,9 +115,8 @@ class LazyStreamDecoder:
     full decoding unit).
     """
 
-    def __init__(self, graph: DecodingGraph, *, ambiguity_against_working_set: bool = False):
+    def __init__(self, graph: DecodingGraph):
         self.graph = graph
-        self._against_working = ambiguity_against_working_set
         self._edges_by_round: dict[int, list[int]] = {}
         for eid, e in enumerate(graph.edges):
             self._edges_by_round.setdefault(min(e.u[1], e.v[1]), []).append(eid)
@@ -190,8 +182,7 @@ class LazyStreamDecoder:
             self._correction.add(heid)
             matched.append(heid)
             self._working.discard(v)
-            reference = self._working if self._against_working else self._defects
-            if self.graph.neighbor_set(v) & reference:
+            if self.graph.neighbor_set(v) & self._defects:
                 self._n_amb += 1
                 if self._n_amb > 1:
                     self._failure = LazyFailure.TOO_MANY_AMBIGUOUS

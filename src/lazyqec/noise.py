@@ -137,6 +137,28 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return make_rng(master_seed, trial + 1)
 
 
+class FaultSampler:
+    """Circuit-level faults over ``rounds`` repetitions of a location census.
+
+    One draw decides every location of every round at once; each hit, in
+    (round, census index) order, then draws its Pauli choice.
+    """
+
+    def __init__(self, census: tuple[FaultLocation, ...], rounds: int, p: float):
+        self.census = census
+        self.pvec = np.tile([loc.fault_probability(p) for loc in census], rounds)
+
+    def sample(self, rng: np.random.Generator) -> list[FaultEvent]:
+        n_loc = len(self.census)
+        out = []
+        for i in np.flatnonzero(rng.random(self.pvec.size) < self.pvec).tolist():
+            t, j = divmod(i, n_loc)
+            loc = self.census[j]
+            choice = int(rng.integers(loc.n_choices)) if loc.n_choices > 1 else 0
+            out.append(FaultEvent(t, loc, choice))
+        return out
+
+
 def sample_faults(
     schedule: CircuitSchedule,
     rounds: int,
@@ -153,20 +175,8 @@ def sample_faults(
         raise ValueError("sample_faults requires circuit-level noise")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    census = round_census(schedule)
-    if rng is None:
-        rng = make_rng(seed)
-    if noise.p == 0.0:
-        return []
-    probs = np.array([loc.fault_probability(noise.p) for loc in census])
-    out: list[FaultEvent] = []
-    for t in range(rounds):
-        hits = np.nonzero(rng.random(len(census)) < probs)[0]
-        for i in hits:
-            loc = census[i]
-            choice = int(rng.integers(loc.n_choices)) if loc.n_choices > 1 else 0
-            out.append(FaultEvent(t, loc, choice))
-    return out
+    sampler = FaultSampler(round_census(schedule), rounds, noise.p)
+    return sampler.sample(make_rng(seed) if rng is None else rng)
 
 
 def sample_data_errors(

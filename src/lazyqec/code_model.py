@@ -140,6 +140,17 @@ class CircuitSchedule:
                         raise ValueError(f"qubit {q} appears twice in one timestep")
                     seen.add(q)
 
+    def __hash__(self) -> int:
+        # Computed once: schedules key the census and circuit caches, and
+        # hashing every event costs 36 us at d=5.  Hashes differ between
+        # processes, so pickles leave the cached one out.
+        if "_hash" not in self.__dict__:
+            self.__dict__["_hash"] = hash((self.layout, self.steps, self.round_duration))
+        return self.__dict__["_hash"]
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
 
 def _event_qubits(ev: GateEvent) -> tuple[int, ...]:
     if isinstance(ev, Cnot):

@@ -1,11 +1,11 @@
 """Space-time decoding graphs built by symbolic fault propagation.
 
 Vertices are syndrome locations ``(check_index, round)`` for one check basis.
-Every enumerable circuit fault is propagated through the circuit as a sparse
-Pauli frame; its detection pattern in this basis (at most two flipped
-difference-syndrome locations) becomes an edge or a half-edge.  Faults sharing
-a detection pattern are merged with the XOR-aware rule
-``p_e = (1 - prod_i (1 - 2 p_i)) / 2`` and carry weight
+One bit-packed GF(2) frame kernel propagates the X and Z generator of every
+fault site; a fault's detection pattern in this basis (at most two flipped
+difference-syndrome locations), the XOR of its generators', becomes an edge
+or a half-edge.  Faults sharing a detection pattern are merged with the
+XOR-aware rule ``p_e = (1 - prod_i (1 - 2 p_i)) / 2`` and carry weight
 ``w_e = ln((1 - p_e) / p_e)``.
 
 The same machinery yields the 2D graph of the perfect-measurement mode, where
@@ -18,6 +18,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -313,95 +314,72 @@ def _weight(p: float) -> float:
     return math.log((1.0 - p) / p) if 0.0 < p < 1.0 else math.inf
 
 
-# --- sparse Pauli-frame propagation -----------------------------------------
+# --- GF(2) Pauli-frame propagation -----------------------------------------
 
 
-class _StepOps:
-    """Per-timestep gate lookup tables for sparse propagation."""
+class _Step(NamedTuple):
+    """One timestep of the extraction round as index arrays."""
 
-    __slots__ = ("prep", "cnot_of", "meas_of")
-
-    def __init__(self):
-        self.prep: set[int] = set()
-        self.cnot_of: dict[int, tuple[int, int]] = {}
-        # ancilla -> (measured basis, check basis, index among that basis' checks)
-        self.meas_of: dict[int, tuple[CheckBasis, CheckBasis, int]] = {}
+    prep: np.ndarray
+    ctl: np.ndarray      # CNOT controls, paired with ``tgt``
+    tgt: np.ndarray
+    meas: np.ndarray     # rows (frame read, ancilla, plaquette); a Z-basis
+                         # outcome reads the X frame (0), an X-basis one Z (1)
 
 
-def _compile_steps(layout: CodeLayout, schedule: CircuitSchedule) -> list[_StepOps]:
-    plaquettes = {p.index: p for p in layout.plaquettes}
-    out = []
-    for events in schedule.steps:
-        ops = _StepOps()
-        for ev in events:
-            if isinstance(ev, PrepAncilla):
-                ops.prep.add(ev.qubit)
-            elif isinstance(ev, Cnot):
-                ops.cnot_of[ev.control] = (ev.control, ev.target)
-                ops.cnot_of[ev.target] = (ev.control, ev.target)
-            elif isinstance(ev, MeasureAncilla):
-                plq = plaquettes[ev.plaquette]
-                ops.meas_of[ev.qubit] = (ev.basis, plq.basis, plq.basis_index)
-        out.append(ops)
-    return out
+@lru_cache(maxsize=16)
+def _circuit_steps(schedule: CircuitSchedule) -> tuple[_Step, ...]:
+    def arr(rows, width):
+        return np.array(rows, dtype=np.intp).reshape(-1, width).T
+
+    return tuple(
+        _Step(
+            np.array([ev.qubit for ev in events if isinstance(ev, PrepAncilla)], dtype=np.intp),
+            *arr([(ev.control, ev.target) for ev in events if isinstance(ev, Cnot)], 2),
+            arr([(int(ev.basis is CheckBasis.X), ev.qubit, ev.plaquette)
+                 for ev in events if isinstance(ev, MeasureAncilla)], 3),
+        )
+        for events in schedule.steps
+    )
 
 
-def _replay(steps: list[_StepOps], n_data: int, rounds: int, faults: Iterable[FaultEvent]):
-    """Replay faults through ``rounds`` clean extraction rounds, propagating
-    them as a sparse Pauli frame.  A fault acts right after the timestep of
-    its location.
+def _replay(schedule: CircuitSchedule, rounds: int, width: int, inject: dict):
+    """Propagate ``width`` Pauli-frame columns, bit-packed (column ``c`` is
+    bit ``c % 64`` of word ``c // 64``), through ``rounds`` clean rounds.
 
-    Returns the raw syndrome flips ``{basis: {(check, round)}}`` and the final
-    (x, z) data frames as qubit-id sets.
+    ``inject[(round, step)]`` lists the ``(target, row, column)`` bits that
+    faults flip right after that step, in the X frame (0), the Z frame (1) or
+    the round's measurement record (2).  Returns the final X and Z frames,
+    ``(2, n_qubits, words)``, and the record, ``(rounds, n_plaquettes, words)``.
     """
-    # Faults in reverse (round, step) order, so the next one is popped off the end.
-    pending = sorted(faults, key=lambda ev: (ev.round, ev.location.step))[::-1]
-    frame: dict[int, list[int]] = {}   # qubit -> [x, z]
-    s_flips: dict[CheckBasis, set[tuple[int, int]]] = {CheckBasis.X: set(), CheckBasis.Z: set()}
-
-    for t in range(rounds):
-        for step_idx, ops in enumerate(steps):
-            if frame:
-                for q in [q for q in frame if q in ops.prep]:
-                    del frame[q]
-                touched = {ops.cnot_of[q] for q in frame if q in ops.cnot_of}
-                for c, tgt in touched:
-                    fc = frame.setdefault(c, [0, 0])
-                    ft = frame.setdefault(tgt, [0, 0])
-                    ft[0] ^= fc[0]   # X propagates control -> target
-                    fc[1] ^= ft[1]   # Z propagates target -> control
-                for q in [q for q in frame if q in ops.meas_of]:
-                    basis, b, bidx = ops.meas_of[q]
-                    if frame[q][0] if basis is CheckBasis.Z else frame[q][1]:
-                        s_flips[b] ^= {(bidx, t)}
-            while pending and pending[-1].round == t and pending[-1].location.step == step_idx:
-                ev = pending.pop()
-                loc = ev.location
-                if loc.kind is LocationKind.MEAS:
-                    _, b, bidx = ops.meas_of[loc.qubits[0]]
-                    s_flips[b] ^= {(bidx, t)}
-                else:
-                    for q, x, z in fault_pauli_bits(loc, ev.choice):
-                        f = frame.setdefault(q, [0, 0])
-                        f[0] ^= x
-                        f[1] ^= z
-
-    x_frame = frozenset(q for q, f in frame.items() if q < n_data and f[0])
-    z_frame = frozenset(q for q, f in frame.items() if q < n_data and f[1])
-    return s_flips, x_frame, z_frame
+    layout = schedule.layout
+    words = (width + 63) // 64
+    frame = np.zeros((2, layout.n_qubits, words), dtype=np.uint64)
+    record = np.zeros((rounds, layout.n_plaquettes, words), dtype=np.uint64)
+    # Before the first fault every frame is zero, and so is every record.
+    for t in range(min((t for t, _ in inject), default=rounds), rounds):
+        for step, ops in enumerate(_circuit_steps(schedule)):
+            if ops.prep.size:
+                frame[:, ops.prep] = 0
+            if ops.ctl.size:
+                frame[0, ops.tgt] ^= frame[0, ops.ctl]
+                frame[1, ops.ctl] ^= frame[1, ops.tgt]
+            if ops.meas.size:
+                record[t, ops.meas[2]] = frame[ops.meas[0], ops.meas[1]]
+            for target, row, col in inject.get((t, step), ()):
+                bits = record[t] if target == 2 else frame[target]
+                bits[row, col >> 6] ^= np.uint64(1 << (col & 63))
+    return frame, record
 
 
-def _diff_pattern(s_flips: set[tuple[int, int]], mini_rounds: int) -> tuple[tuple[int, int], ...]:
-    """Difference-syndrome flips (check, dt) of a raw flip set, with s(-1)=0."""
-    by_check: dict[int, set[int]] = {}
-    for q, t in s_flips:
-        by_check.setdefault(q, set()).add(t)
-    out = []
-    for q, ts in by_check.items():
-        for t in range(mini_rounds):
-            if ((t in ts) ^ ((t - 1) in ts)):
-                out.append((q, t))
-    return tuple(sorted(out))
+def _set_bits(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of every set bit of a 2D bit-packed uint64 array."""
+    rows, words = np.nonzero(packed)
+    bits = np.unpackbits(
+        packed[rows, words].astype("<u8").view(np.uint8), bitorder="little"
+    ).reshape(-1, 64)
+    hit, bit = np.nonzero(bits)
+    return rows[hit], words[hit] * 64 + bit
 
 
 def simulate_window(
@@ -410,18 +388,22 @@ def simulate_window(
     rounds: int,
     faults: list[FaultEvent],
 ):
-    """Direct circuit replay with the given faults.
+    """Direct circuit replay with the given faults, as one frame column.
 
     Returns per-basis raw syndrome bit arrays of shape ``(rounds, n_checks)``
     and the final (x, z) data frames.  Used to cross-validate the fault map.
     """
-    steps = _compile_steps(layout, schedule)
-    s_flips, x_frame, z_frame = _replay(steps, layout.n_data, rounds, faults)
-    s = {}
-    for b in CheckBasis:
-        s[b] = np.zeros((rounds, len(layout.checks(b))), dtype=np.uint8)
-        for bidx, t in s_flips[b]:
-            s[b][t, bidx] = 1
+    inject: dict[tuple[int, int], list] = {}
+    for ev in faults:
+        bits = inject.setdefault((ev.round, ev.location.step), [])
+        if ev.location.kind is LocationKind.MEAS:
+            bits.append((2, ev.location.plaquette, 0))
+        for q, *xz in fault_pauli_bits(ev.location, ev.choice):
+            bits += [(k, q, 0) for k in (0, 1) if xz[k]]
+    frame, record = _replay(schedule, rounds, 1, inject)
+    raw = (record[:, :, 0] != 0).astype(np.uint8)
+    s = {b: raw[:, [p.index for p in layout.checks(b)]] for b in CheckBasis}
+    x_frame, z_frame = (frozenset(np.flatnonzero(f[: layout.n_data, 0]).tolist()) for f in frame)
     return s, x_frame, z_frame
 
 
@@ -530,11 +512,41 @@ def build_decoding_graph(
         raise ValueError("noisy_rounds must lie in [0, rounds]")
 
     census = round_census(schedule)
-    steps = _compile_steps(layout, schedule)
     logicals = layout.logical_supports(
         CheckBasis.Z if basis is CheckBasis.X else CheckBasis.X
     )
     mini = 4
+
+    # Propagate the X and Z unit generator of every (step, qubit) fault site,
+    # column ``step * n_qubits + qubit``, through ``mini`` rounds in one pass.
+    # A measurement site's column flips its record bit instead.
+    n_q = layout.n_qubits
+    inject: dict[tuple[int, int], list] = {}
+    for loc in census:
+        bits = inject.setdefault((0, loc.step), [])
+        for q in loc.qubits:
+            col = loc.step * n_q + q
+            meas = loc.kind is LocationKind.MEAS
+            bits += [(2, loc.plaquette, col)] if meas else [(0, q, col), (1, q, col)]
+    frame, record = _replay(schedule, mini, len(schedule.steps) * n_q, inject)
+
+    # Difference-syndrome flips of each generator in this basis, with
+    # s(-1) = 0, and its logical-flip mask from the final frame.  X checks
+    # see only the Z frame (sector 1), Z checks only the X frame (sector 0).
+    # A detector is keyed ``check * mini + dt``, so keys sort as (check, dt);
+    # the templates share one (check, dt) tuple per key.
+    sector = 1 if basis is CheckBasis.X else 0
+    raw = record[:, [p.index for p in layout.checks(basis)]].transpose(1, 0, 2)
+    det_of_key = [(q, dt) for q in range(raw.shape[0]) for dt in range(mini)]
+    diff = raw.copy()
+    diff[:, 1:] ^= raw[:, :-1]
+    detectors: dict[int, list[int]] = {}
+    for key, col in zip(*(a.tolist() for a in _set_bits(diff.reshape(raw.shape[0] * mini, -1)))):
+        detectors.setdefault(col, []).append(key)
+    parity = np.array([np.bitwise_xor.reduce(frame[sector, sorted(rep)]) for rep in logicals])
+    parity = np.unpackbits(parity.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    gen_obs = (parity.T.astype(np.int64) << np.arange(len(logicals))).sum(axis=1).tolist()
+    del inject, frame, record, raw, diff   # before the templates grow: peak memory
 
     # Per-round fault templates in this basis, pre-merged by detection pattern.
     template: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
@@ -542,10 +554,18 @@ def build_decoding_graph(
     merged: dict[tuple[tuple[int, int], ...], _EdgeAcc] = {}
     for loc in census:
         p_loc = loc.fault_probability(noise.p)
+        base = loc.step * n_q
         for choice in range(loc.n_choices):
-            fault = FaultEvent(0, loc, choice)
-            s_flips, x_frame, z_frame = _replay(steps, layout.n_data, mini, [fault])
-            pattern = _diff_pattern(s_flips[basis], mini)
+            if loc.kind is LocationKind.MEAS:
+                gens = [base + loc.qubits[0]]
+            else:
+                gens = [base + q for q, *xz in fault_pauli_bits(loc, choice) if xz[sector]]
+            flips: set[int] = set()
+            obs = 0
+            for col in gens:
+                flips.symmetric_difference_update(detectors.get(col, ()))
+                obs ^= gen_obs[col]
+            pattern = tuple(det_of_key[key] for key in sorted(flips))
             if len(pattern) > 2:
                 raise ScheduleError(
                     f"fault {loc.kind.value}@step{loc.step} qubits {loc.qubits} "
@@ -554,11 +574,10 @@ def build_decoding_graph(
             if any(dt > 2 for _, dt in pattern):
                 raise ScheduleError("fault pattern did not settle within two rounds")
             template[(loc.index, choice)] = pattern
-            frame = z_frame if basis is CheckBasis.X else x_frame
-            obs = _obs_mask(frame, logicals)
             template_obs[(loc.index, choice)] = obs
             acc = merged.setdefault(pattern, _EdgeAcc())
             acc.add(p_loc / loc.n_choices, obs)
+    del detectors, gen_obs
 
     # Place the templates in every noisy round, clipping at window boundaries.
     acc_by_key: dict[tuple, _EdgeAcc] = {}
@@ -622,14 +641,6 @@ def build_decoding_graph(
     return graph
 
 
-def _obs_mask(frame: frozenset[int], logicals) -> int:
-    mask = 0
-    for i, rep in enumerate(logicals):
-        if len(frame & rep) % 2 == 1:
-            mask |= 1 << i
-    return mask
-
-
 def make_graph(
     edge_pairs: Iterable[tuple[Vertex, Vertex]],
     half_vertices: Iterable[Vertex] = (),
@@ -680,7 +691,7 @@ def build_perfect_graph(
     edges, half_edges = [], []
     for q in range(layout.n_data):
         plqs = membership.get(q, [])
-        obs = _obs_mask(frozenset({q}), logicals)
+        obs = sum(1 << i for i, rep in enumerate(logicals) if q in rep)
         if len(plqs) == 2:
             u, v = sorted(((plqs[0], 0), (plqs[1], 0)))
             edges.append(Edge(u, v, p, _weight(p), "space", obs))

@@ -103,6 +103,7 @@ class FaultEvent:
         return self.location.pauli_label(self.choice)
 
 
+@lru_cache(maxsize=16)
 def round_census(schedule: CircuitSchedule) -> tuple[FaultLocation, ...]:
     """Enumerate every fault location of a single extraction round."""
     out: list[FaultLocation] = []
@@ -140,19 +141,36 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
 class FaultSampler:
     """Circuit-level faults over ``rounds`` repetitions of a location census.
 
-    One draw decides every location of every round at once; each hit, in
-    (round, census index) order, then draws its Pauli choice.
+    Each probability class, ``p`` (prep, wait, CNOT) and ``2p/3`` (measure),
+    is one Bernoulli field over its flat (round, location) indices, sampled
+    exactly by geometric gaps from hit to hit.  The hits, merged in (round,
+    census index) order, then draw their Pauli choices.
     """
 
     def __init__(self, census: tuple[FaultLocation, ...], rounds: int, p: float):
         self.census = census
-        self.pvec = np.tile([loc.fault_probability(p) for loc in census], rounds)
+        # (probability, census indices, flat size, gaps per batch: the mean
+        # hit count plus four deviations)
+        self._classes = []
+        for q, meas in ((p, False), (2.0 * p / 3.0, True)):
+            idx = [loc.index for loc in census if (loc.kind is LocationKind.MEAS) == meas]
+            n = len(idx) * rounds
+            if q > 0.0 and n:
+                self._classes.append((q, idx, n, int(q * n + 4.0 * (q * n) ** 0.5) + 1))
 
     def sample(self, rng: np.random.Generator) -> list[FaultEvent]:
-        n_loc = len(self.census)
+        hits = []
+        for q, idx, n, batch in self._classes:
+            pos = -1   # skip from hit to hit by geometric gaps, a batch at a time
+            while pos < n:
+                for gap in rng.geometric(q, batch).tolist():
+                    pos += gap
+                    if pos >= n:
+                        break
+                    t, j = divmod(pos, len(idx))
+                    hits.append((t, idx[j]))
         out = []
-        for i in np.flatnonzero(rng.random(self.pvec.size) < self.pvec).tolist():
-            t, j = divmod(i, n_loc)
+        for t, j in sorted(hits):
             loc = self.census[j]
             choice = int(rng.integers(loc.n_choices)) if loc.n_choices > 1 else 0
             out.append(FaultEvent(t, loc, choice))

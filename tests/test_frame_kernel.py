@@ -1,0 +1,56 @@
+"""The GF(2) frame kernel against the sparse reference propagator."""
+
+import random
+
+import numpy as np
+import pytest
+
+from frame_reference import reference_templates, reference_window
+from lazyqec.code_model import CheckBasis, build_rotated_surface_code, build_schedule
+from lazyqec.graph import build_decoding_graph, simulate_window
+from lazyqec.noise import LocationKind, NoiseParams, sample_faults, trial_rng
+
+
+@pytest.mark.parametrize("basis", list(CheckBasis))
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_templates_match_reference(d, basis):
+    lay = build_rotated_surface_code(d)
+    sch = build_schedule(lay)
+    graph = build_decoding_graph(lay, sch, d, NoiseParams(1e-3), basis)
+    template, template_obs = reference_templates(lay, sch, basis)
+    assert graph._template == template
+    assert graph._template_obs == template_obs
+    assert any(template_obs.values())
+
+
+def test_window_replay_matches_reference():
+    lay = build_rotated_surface_code(5)
+    sch = build_schedule(lay)
+    noise = NoiseParams(1e-2)
+    shuffle = random.Random(17)
+    meas_flips = 0
+    for trial in range(600):
+        faults = sample_faults(sch, 5, noise, seed=0, rng=trial_rng(41, trial))
+        meas_flips += sum(ev.location.kind is LocationKind.MEAS for ev in faults)
+        want = reference_window(lay, sch, 5, faults)
+        shuffle.shuffle(faults)   # the kernel must not depend on list order
+        raw, x_frame, z_frame = simulate_window(lay, sch, 5, faults)
+        for b in CheckBasis:
+            np.testing.assert_array_equal(raw[b], want[0][b])
+        assert (x_frame, z_frame) == want[1:]
+    assert meas_flips > 300   # about 0.8 per window
+
+
+def test_window_replay_empty_and_late_faults():
+    lay = build_rotated_surface_code(3)
+    sch = build_schedule(lay)
+    raw, x_frame, z_frame = simulate_window(lay, sch, 4, [])
+    assert not any(raw[b].any() for b in CheckBasis) and not x_frame and not z_frame
+    faults = sample_faults(sch, 6, NoiseParams(0.05), seed=3)
+    late = [ev for ev in faults if ev.round >= 3]
+    assert late
+    got = simulate_window(lay, sch, 6, late)
+    want = reference_window(lay, sch, 6, late)
+    for b in CheckBasis:
+        np.testing.assert_array_equal(got[0][b], want[0][b])
+    assert got[1:] == want[1:]

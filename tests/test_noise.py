@@ -3,6 +3,7 @@ import pytest
 
 from lazyqec.code_model import build_rotated_surface_code, build_schedule
 from lazyqec.noise import (
+    FaultSampler,
     LocationKind,
     NoiseMode,
     NoiseParams,
@@ -96,3 +97,57 @@ def test_trial_streams_disjoint():
 def test_make_rng_streams():
     assert make_rng(1, 0).random() != make_rng(1, 1).random()
     assert make_rng(1, 2).random() == make_rng(1, 2).random()
+
+
+@pytest.fixture(scope="module")
+def d3_hits():
+    """Faults of the d=3 census over 2,000 rounds at p=0.05."""
+    census = round_census(build_schedule(build_rotated_surface_code(3)))
+    faults = FaultSampler(census, 2000, 0.05).sample(make_rng(23))
+    return census, faults
+
+
+def test_sampler_class_counts(d3_hits):
+    census, faults = d3_hits
+    p, rounds = 0.05, 2000
+    for meas in (False, True):
+        n = rounds * sum((loc.kind is LocationKind.MEAS) == meas for loc in census)
+        q = 2 * p / 3 if meas else p
+        k = sum((ev.location.kind is LocationKind.MEAS) == meas for ev in faults)
+        assert abs(k - n * q) < 5 * np.sqrt(n * q * (1 - q))
+
+
+def test_sampler_per_location_counts(d3_hits):
+    census, faults = d3_hits
+    counts = np.bincount([ev.location.index for ev in faults], minlength=len(census))
+    for loc, k in zip(census, counts):
+        q = loc.fault_probability(0.05)
+        assert abs(k - 2000 * q) < 5 * np.sqrt(2000 * q * (1 - q)), loc
+
+
+def test_sampler_pauli_choices_uniform(d3_hits):
+    _, faults = d3_hits
+    for kind, n_choices in ((LocationKind.CNOT, 15), (LocationKind.PREP, 3), (LocationKind.WAIT, 3)):
+        choices = [ev.choice for ev in faults if ev.location.kind is kind]
+        counts = np.bincount(choices, minlength=n_choices)
+        assert counts.size == n_choices
+        expected = len(choices) / n_choices
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        # chi-square with n-1 degrees of freedom: mean n-1, sd sqrt(2(n-1))
+        assert chi2 < (n_choices - 1) + 6 * np.sqrt(2 * (n_choices - 1)), (kind, counts)
+
+
+def test_sampler_hits_sorted_by_round_then_census_index(d3_hits):
+    _, faults = d3_hits
+    keys = [(ev.round, ev.location.index) for ev in faults]
+    assert keys == sorted(set(keys))
+
+
+def test_sampler_p_one_hits_every_location():
+    census = round_census(build_schedule(build_rotated_surface_code(3)))
+    faults = FaultSampler(census, 7, 1.0).sample(make_rng(5))
+    non_meas = [(ev.round, ev.location.index) for ev in faults
+                if ev.location.kind is not LocationKind.MEAS]
+    assert non_meas == [
+        (t, loc.index) for t in range(7) for loc in census if loc.kind is not LocationKind.MEAS
+    ]

@@ -55,15 +55,6 @@ class Estimate:
         }
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    index: int
-    lazy_success: bool | None = None
-    used_fallback: bool = False
-    logical_failure: bool | None = None
-    wall_time: float = 0.0
-
-
 def wilson_interval(k: int, n: int, z: float = 1.959964) -> tuple[float, float]:
     """Wilson score interval for k events in n trials."""
     if n <= 0:

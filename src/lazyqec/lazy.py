@@ -1,23 +1,24 @@
 """The lazy pre-decoder: greedy local matching with an explicit failure mode.
 
-Batch form: a first pass scans edges in the fixed canonical order and matches
-any edge whose two endpoints are both unmatched defects; a second pass scans
-half-edges and sends remaining boundary-adjacent defects to the boundary,
+The rule settles a set of defects (a *front*): a first pass scans the edges
+incident to the front in the fixed canonical order and matches any edge whose
+two endpoints are both unmatched defects; a second pass takes the leftovers
+in (round, check) order and sends each to the boundary by its half-edge,
 counting a choice as *ambiguous* when the defect has a neighbor in the
-original defect set.  More than one ambiguous choice, or any defect left over,
-is a failure.  On success the returned correction is cardinality-minimal.
+original defect set.  A leftover without a half-edge, or a second ambiguous
+choice, is a failure.  On success the correction is cardinality-minimal.
 
-The streaming form consumes syndrome rounds one at a time with a three-round
-buffer, finalizing decisions as soon as later rounds can no longer affect
-them, and degrades to passing raw syndrome data through once a failure is
-detected.
+Batch and streaming forms share it, one rule; the stream settles each round
+once the next one arrives, and degrades to passing raw syndrome data through
+once a failure is detected.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from operator import itemgetter
+from typing import AbstractSet, Iterable, Iterator, NamedTuple
 
 from .graph import DecodingGraph, Syndrome, Vertex
 
@@ -40,13 +41,55 @@ class LazyOutcome(NamedTuple):
 
 
 _EMPTY_SUCCESS = LazyOutcome(frozenset(), None, 0)
+_ROUND_CHECK = itemgetter(1, 0)
+
+
+def _settle(
+    graph: DecodingGraph,
+    front: AbstractSet[Vertex],
+    working: set[Vertex],
+    defects: AbstractSet[Vertex],
+    n_amb: int,
+) -> tuple[list[int], LazyFailure | None, int]:
+    """The lazy rule on the defects of ``front``; matched defects leave
+    ``working``.  Returns the edge ids taken, in order, the failure (None on
+    success) and the running ambiguous count."""
+    matched: list[int] = []
+    edges = graph.edges
+    neighbors = graph.neighbors
+    for eid in sorted(
+        {eid for v in front for u, eid in neighbors.get(v, ()) if u in working}
+    ):
+        e = edges[eid]
+        if e.u in working and e.v in working:
+            matched.append(eid)
+            working.discard(e.u)
+            working.discard(e.v)
+    # Nothing left: spares pass 2's set-up, which costs a graph without
+    # half-edges time on every success.
+    if not working:
+        return matched, None, n_amb
+
+    half = graph.half_edge_id
+    for v in sorted(front & working, key=_ROUND_CHECK):
+        heid = half.get(v)
+        if heid is None:
+            return matched, LazyFailure.RESIDUAL_SYNDROME, n_amb
+        matched.append(heid)
+        working.discard(v)
+        if graph.neighbor_set(v) & defects:
+            n_amb += 1
+            if n_amb > 1:
+                return matched, LazyFailure.TOO_MANY_AMBIGUOUS, n_amb
+    return matched, None, n_amb
 
 
 def lazy_decode(graph: DecodingGraph, syndrome: Syndrome) -> LazyOutcome:
-    """Single pass over edges then half-edges, in canonical scan order.
+    """The lazy rule with every defect as the front.
 
     The ambiguity test checks the defect's neighbors against the original
-    defect set, following the pseudocode literally.
+    defect set, following the pseudocode literally.  A failure is the first
+    one met in (round, check) order, as the streaming form reports it.
     """
     defects = syndrome.defects
     if not defects:
@@ -54,44 +97,10 @@ def lazy_decode(graph: DecodingGraph, syndrome: Syndrome) -> LazyOutcome:
     for q, t in defects:
         if not (0 <= q < graph.n_checks and 0 <= t < graph.rounds):
             raise ValueError(f"syndrome vertex {(q, t)} outside the graph")
-    working = set(defects)
-    correction: set[int] = set()
-
-    # Pass 1: edges with both endpoints defective.  Only edges incident to the
-    # original defect set can ever trigger, so the scan is restricted to those
-    # without changing the outcome.
-    candidate_ids = sorted(
-        {
-            eid
-            for v in defects
-            for u, eid in graph.neighbors.get(v, ())
-            if u in defects
-        }
-    )
-    for eid in candidate_ids:
-        e = graph.edges[eid]
-        if e.u in working and e.v in working:
-            correction.add(eid)
-            working.discard(e.u)
-            working.discard(e.v)
-
-    # Pass 2: half-edges for the leftovers.  Skipped on a graph without
-    # boundary, where it finds nothing yet costs about 0.5 us a call.
-    n_amb = 0
-    half = graph.half_edge_id
-    for v in sorted(defects & half.keys(), key=half.__getitem__) if half else ():
-        if v not in working:
-            continue
-        correction.add(half[v])
-        working.discard(v)
-        if graph.neighbor_set(v) & defects:
-            n_amb += 1
-            if n_amb > 1:
-                return LazyOutcome(None, LazyFailure.TOO_MANY_AMBIGUOUS, n_amb)
-
-    if working:
-        return LazyOutcome(None, LazyFailure.RESIDUAL_SYNDROME, n_amb)
-    return LazyOutcome(frozenset(correction), None, n_amb)
+    matched, failure, n_amb = _settle(graph, defects, set(defects), defects, 0)
+    if failure is not None:
+        return LazyOutcome(None, failure, n_amb)
+    return LazyOutcome(frozenset(matched), None, n_amb)
 
 
 @dataclass
@@ -106,29 +115,27 @@ class StreamEmission:
 
 
 class LazyStreamDecoder:
-    """On-the-fly lazy decoding over a three-round buffer.
+    """On-the-fly lazy decoding, one round behind the input.
 
     Feed rounds in time order with :meth:`feed`; call :meth:`finish` after the
-    last round.  While no failure has occurred the emissions carry matched
-    edges; after the first failure the decoder stops deciding and forwards the
-    raw defects of each round (the window's syndrome data now goes to the
-    full decoding unit).
+    last round.  Round t is settled by the lazy rule once round t+1 has
+    arrived, which is final only when no edge joins rounds more than one
+    apart; other graphs are rejected.  While no failure has occurred the
+    emissions carry matched edges; after the first failure the decoder stops
+    deciding and forwards the raw defects of each round (the window's
+    syndrome data now goes to the full decoding unit).
     """
 
     def __init__(self, graph: DecodingGraph):
+        if any(abs(e.u[1] - e.v[1]) > 1 for e in graph.edges):
+            raise ValueError("streaming needs every edge to join rounds at most one apart")
         self.graph = graph
-        self._edges_by_round: dict[int, list[int]] = {}
-        for eid, e in enumerate(graph.edges):
-            self._edges_by_round.setdefault(min(e.u[1], e.v[1]), []).append(eid)
-        for r in self._edges_by_round:
-            self._edges_by_round[r].sort()
         self._defects: set[Vertex] = set()
         self._working: set[Vertex] = set()
         self._correction: set[int] = set()
         self._n_amb = 0
         self._failure: LazyFailure | None = None
         self._next_round = 0
-        self._buffer: list[tuple[int, frozenset[Vertex]]] = []
 
     def feed(self, round_defects: Iterable[Vertex]) -> StreamEmission:
         t = self._next_round
@@ -136,9 +143,6 @@ class LazyStreamDecoder:
         defects = frozenset((int(q), t) for q in round_defects)
         self._defects |= defects
         self._working |= defects
-        self._buffer.append((t, defects))
-        if len(self._buffer) > 3:
-            self._buffer.pop(0)
         if self._failure is not None:
             return StreamEmission(t, (), True, tuple(sorted(defects)))
         # Round t-1 is now final: no later edge can touch it.
@@ -147,16 +151,12 @@ class LazyStreamDecoder:
         return self._finalize(t - 1)
 
     def finish(self) -> StreamEmission:
-        """Flush the last buffered round and return the window outcome."""
+        """Settle the last round and return the window outcome."""
         t_last = self._next_round - 1
         if self._failure is None and t_last >= 0:
             em = self._finalize(t_last)
         else:
             em = StreamEmission(t_last, (), self._failure is not None)
-        if self._failure is None and self._working:
-            self._failure = LazyFailure.RESIDUAL_SYNDROME
-            em.failed = True
-            em.raw_passthrough = tuple(sorted(self._working))
         if self._failure is None:
             em.outcome = LazyOutcome(frozenset(self._correction), None, self._n_amb)
         else:
@@ -164,29 +164,13 @@ class LazyStreamDecoder:
         return em
 
     def _finalize(self, t: int) -> StreamEmission:
-        matched: list[int] = []
-        for eid in self._edges_by_round.get(t, ()):
-            e = self.graph.edges[eid]
-            if e.u in self._working and e.v in self._working:
-                self._correction.add(eid)
-                matched.append(eid)
-                self._working.discard(e.u)
-                self._working.discard(e.v)
-        # Defects of round t are fully decided now; resolve them via
-        # half-edges or flag a failure.
-        for v in sorted(q for q in self._working if q[1] == t):
-            heid = self.graph.half_edge_id.get(v)
-            if heid is None:
-                self._failure = LazyFailure.RESIDUAL_SYNDROME
-                return StreamEmission(t, tuple(matched), True, tuple(sorted(self._working)))
-            self._correction.add(heid)
-            matched.append(heid)
-            self._working.discard(v)
-            if self.graph.neighbor_set(v) & self._defects:
-                self._n_amb += 1
-                if self._n_amb > 1:
-                    self._failure = LazyFailure.TOO_MANY_AMBIGUOUS
-                    return StreamEmission(t, tuple(matched), True, tuple(sorted(self._working)))
+        front = frozenset(v for v in self._working if v[1] == t)
+        matched, self._failure, self._n_amb = _settle(
+            self.graph, front, self._working, self._defects, self._n_amb
+        )
+        self._correction.update(matched)
+        if self._failure is not None:
+            return StreamEmission(t, tuple(matched), True, tuple(sorted(self._working)))
         return StreamEmission(t, tuple(matched), False)
 
 

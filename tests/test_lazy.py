@@ -4,7 +4,14 @@ from collections import deque
 import pytest
 
 from lazyqec.code_model import CheckBasis, build_rotated_surface_code, build_schedule
-from lazyqec.graph import Syndrome, build_decoding_graph, classify_defects, make_graph
+from lazyqec.experiments import _edge_sampler
+from lazyqec.graph import (
+    Syndrome,
+    build_decoding_graph,
+    build_perfect_graph,
+    classify_defects,
+    make_graph,
+)
 from lazyqec.lazy import (
     LazyFailure,
     LazyStreamDecoder,
@@ -12,7 +19,7 @@ from lazyqec.lazy import (
     lazy_decode,
     lazy_decode_stream,
 )
-from lazyqec.noise import NoiseParams
+from lazyqec.noise import FaultSampler, NoiseMode, NoiseParams, trial_rng
 
 A, B, C, D = (0, 0), (1, 0), (2, 0), (3, 0)
 
@@ -171,24 +178,84 @@ def test_stream_failure_passes_raw_syndrome_through():
     assert not dec.finish().outcome.success
 
 
-def test_stream_equals_batch_on_real_graph():
-    lay = build_rotated_surface_code(3)
+def test_stream_rejects_edge_across_two_rounds():
+    """One round behind is final only for edges spanning at most one round:
+    here the batch matches edge 0, while a stream would settle round 0 before
+    its partner arrives."""
+    g = make_graph([((0, 0), (0, 2))], [], rounds=3)
+    assert lazy_decode(g, Syndrome.of([(0, 0), (0, 2)])).correction == {0}
+    with pytest.raises(ValueError):
+        LazyStreamDecoder(g)
+
+
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("basis", [CheckBasis.X, CheckBasis.Z])
+@pytest.mark.parametrize("d", [3, 5, 9])
+def test_circuit_edges_span_at_most_one_round(d, basis, closed):
+    lay = build_rotated_surface_code(d)
     sch = build_schedule(lay)
-    g = build_decoding_graph(lay, sch, 4, NoiseParams(1e-3), CheckBasis.X)
-    rng = random.Random(17)
-    for _ in range(2000):
-        defects = {
-            (q, t) for q in range(g.n_checks) for t in range(g.rounds)
-            if rng.random() < 0.12
-        }
-        batch = lazy_decode(g, Syndrome.of(defects))
-        dec = LazyStreamDecoder(g)
-        for t in range(g.rounds):
-            dec.feed([q for q in range(g.n_checks) if (q, t) in defects])
-        stream = dec.finish().outcome
-        assert batch.success == stream.success
-        if batch.success:
-            assert batch.correction == stream.correction
+    if closed:
+        g = build_decoding_graph(
+            lay, sch, d + 1, NoiseParams(1e-3), basis, drop_initial=False, noisy_rounds=d
+        )
+    else:
+        g = build_decoding_graph(lay, sch, d, NoiseParams(1e-3), basis)
+    assert max(abs(e.u[1] - e.v[1]) for e in g.edges) == 1
+    LazyStreamDecoder(g)
+
+
+def _stream_outcome(graph, defects):
+    by_round = [[] for _ in range(graph.rounds)]
+    for q, t in defects:
+        by_round[t].append(q)
+    return list(lazy_decode_stream(graph, by_round))[-1].outcome
+
+
+def _circuit_syndromes(d, p, basis, n, seed):
+    lay = build_rotated_surface_code(d)
+    g = build_decoding_graph(lay, build_schedule(lay), d, NoiseParams(p), basis)
+    sampler = FaultSampler(g.census, g.noisy_rounds, p)
+    return g, [g.syndrome_of_faults(sampler.sample(trial_rng(seed, i))).defects for i in range(n)]
+
+
+def _random_syndromes(n, seed):
+    lay = build_rotated_surface_code(3)
+    g = build_decoding_graph(lay, build_schedule(lay), 4, NoiseParams(1e-3), CheckBasis.X)
+    rng = random.Random(seed)
+    return g, [
+        frozenset(
+            (q, t) for q in range(g.n_checks) for t in range(g.rounds) if rng.random() < 0.12
+        )
+        for _ in range(n)
+    ]
+
+
+def _perfect_syndromes(d, p, n, seed):
+    g = build_perfect_graph(
+        build_rotated_surface_code(d), NoiseParams(p, NoiseMode.PERFECT_MEASUREMENT)
+    )
+    sample = _edge_sampler(g)
+    return g, [sample(trial_rng(seed, i))[0].defects for i in range(n)]
+
+
+def test_stream_equals_batch_on_real_graph():
+    """The whole outcome agrees, failures included: correction, failure kind
+    and ambiguous count."""
+    cases = [
+        _random_syndromes(2000, 17),
+        _circuit_syndromes(5, 3e-3, CheckBasis.X, 2000, 5),
+        _circuit_syndromes(5, 3e-3, CheckBasis.Z, 2000, 5),
+        _circuit_syndromes(9, 1e-3, CheckBasis.X, 1000, 5),
+        _circuit_syndromes(9, 1e-3, CheckBasis.Z, 1000, 5),
+        _perfect_syndromes(9, 3e-2, 2000, 5),
+    ]
+    for g, syndromes in cases:
+        failures = 0
+        for defects in syndromes:
+            batch = lazy_decode(g, Syndrome(defects))
+            assert _stream_outcome(g, defects) == batch
+            failures += not batch.success
+        assert failures >= 20
 
 
 def test_determinism(path_abc):

@@ -14,9 +14,11 @@ edges are simply data qubits joining the one or two checks that see them.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -123,9 +125,10 @@ class DecodingGraph:
         self.neighbors: dict[Vertex, list[tuple[Vertex, int]]] = {}
         self.edge_id_by_key: dict[tuple, int] = {}
         for eid, e in enumerate(self.edges):
-            self.neighbors.setdefault(e.u, []).append((e.v, eid))
-            self.neighbors.setdefault(e.v, []).append((e.u, eid))
-            self.edge_id_by_key[_edge_key(e.u, e.v)] = eid
+            u, v = e.u, e.v
+            self.neighbors.setdefault(u, []).append((v, eid))
+            self.neighbors.setdefault(v, []).append((u, eid))
+            self.edge_id_by_key[(u, v) if u <= v else (v, u)] = eid
         self.half_edge_id: dict[Vertex, int] = {}
         for i, e in enumerate(self.half_edges):
             eid = len(self.edges) + i
@@ -206,24 +209,23 @@ class DecodingGraph:
     def fault_vertices(self, event: FaultEvent) -> tuple[Vertex, ...]:
         """Defect pattern of a sampled fault, translated to its round and
         clipped at the window boundaries."""
-        try:
-            pattern = self._template[(event.location.index, event.choice)]
-        except KeyError:
-            raise ValueError(f"unknown fault location {event.location}") from None
-        out = []
-        for q, dt in pattern:
-            t = event.round + dt
-            if t >= self.rounds:
-                continue
-            if self.drop_initial and t == 0:
-                continue
-            out.append((q, t))
-        return tuple(out)
+        return tuple(sorted(self.syndrome_of_faults((event,)).defects))
 
     def syndrome_of_faults(self, events: Iterable[FaultEvent]) -> Syndrome:
         acc: set[Vertex] = set()
-        for ev in events:
-            acc.symmetric_difference_update(self.fault_vertices(ev))
+        template, first, rounds = self._template, int(self.drop_initial), self.rounds
+        for t, loc, choice in events:
+            try:
+                pattern = template[loc.index, choice]
+            except KeyError:
+                raise ValueError(f"unknown fault location {loc}") from None
+            for q, dt in pattern:
+                if first <= t + dt < rounds:
+                    v = (q, t + dt)
+                    if v in acc:
+                        acc.remove(v)
+                    else:
+                        acc.add(v)
         return Syndrome(frozenset(acc))
 
     def correction_syndrome(self, edge_ids: Iterable[int]) -> frozenset[Vertex]:
@@ -235,9 +237,9 @@ class DecodingGraph:
 
     def obs_of_faults(self, events: Iterable[FaultEvent]) -> int:
         """Logical-flip bitmask of a fault list (XOR of per-fault flips)."""
-        mask = 0
-        for ev in events:
-            mask ^= self._template_obs[(ev.location.index, ev.choice)]
+        mask, template_obs = 0, self._template_obs
+        for _, loc, choice in events:
+            mask ^= template_obs[loc.index, choice]
         return mask
 
     def obs_of_edges(self, edge_ids: Iterable[int]) -> int:
@@ -271,16 +273,14 @@ class DecodingGraph:
                 }
                 for e in (*self.edges, *self.half_edges)
             ],
+            "obs_conflicts": self.obs_conflicts,
+            "invisible_obs_faults": self.invisible_obs_faults,
+            "edge_counts": {k: sum(e.kind == k for e in self.edges + self.half_edges)
+                            for k in _KIND_RANK},
         }
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)
-
-
-def _edge_key(u: Vertex, v: Vertex | None) -> tuple:
-    if v is None:
-        return (u,)
-    return (u, v) if u <= v else (v, u)
 
 
 def _edge_kind(u: Vertex, v: Vertex) -> str:
@@ -297,15 +297,13 @@ _KIND_RANK = {"space": 0, "time": 1, "diagonal": 2, "boundary": 0, "time_boundar
 def _sort_canonical(edges: list[Edge], centers: list[tuple[int, int]]) -> list[Edge]:
     """Fixed scan order: (t, y, x) of the smaller endpoint, then direction
     class (space before time before diagonal), then the other endpoint."""
-
-    def tyx(v: Vertex):
-        x, y = centers[v[0]]
-        return (v[1], y, x)
+    at = {yx: i for i, yx in enumerate(sorted({(y, x) for x, y in centers}))}
+    rank = [at[y, x] for x, y in centers]   # (t, rank) orders vertices as (t, y, x)
 
     def key(e: Edge):
-        ends = [e.u] if e.v is None else sorted([e.u, e.v], key=tyx)
-        rest = tyx(ends[1]) if len(ends) == 2 else ()
-        return (*tyx(ends[0]), _KIND_RANK[e.kind], rest)
+        a = (e.u[1], rank[e.u[0]])
+        b = () if e.v is None else (e.v[1], rank[e.v[0]])
+        return (a, _KIND_RANK[e.kind], b) if not b or a <= b else (b, _KIND_RANK[e.kind], a)
 
     return sorted(edges, key=key)
 
@@ -485,6 +483,34 @@ class _EdgeAcc:
         return (1.0 - self.pi) / 2.0
 
 
+def _carriers(sector: int) -> dict[LocationKind, tuple[tuple[int, ...], ...]]:
+    """Per location kind and choice, the positions in ``loc.qubits`` whose
+    Pauli has a generator in ``sector``; a measurement flip has one, its own."""
+    table = {}
+    for kind in LocationKind:
+        probe = FaultLocation(0, kind, 0, (0, 1) if kind is LocationKind.CNOT else (0,))
+        table[kind] = tuple(
+            tuple(i for i, *xz in fault_pauli_bits(probe, choice) if xz[sector])
+            for choice in range(probe.n_choices)
+        )
+    table[LocationKind.MEAS] = ((0,),)
+    return table
+
+
+@contextmanager
+def _collector_paused():
+    """The build allocates some 10^5 acyclic objects; the cyclic collections
+    they set off find nothing and took a third of a d=15 build."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def build_decoding_graph(
     layout: CodeLayout,
     schedule: CircuitSchedule,
@@ -536,8 +562,9 @@ def build_decoding_graph(
     # A detector is keyed ``check * mini + dt``, so keys sort as (check, dt);
     # the templates share one (check, dt) tuple per key.
     sector = 1 if basis is CheckBasis.X else 0
-    raw = record[:, [p.index for p in layout.checks(basis)]].transpose(1, 0, 2)
-    det_of_key = [(q, dt) for q in range(raw.shape[0]) for dt in range(mini)]
+    checks = layout.checks(basis)
+    raw = record[:, [p.index for p in checks]].transpose(1, 0, 2)
+    det_of_key = [(q, dt) for q in range(len(checks)) for dt in range(mini)]
     diff = raw.copy()
     diff[:, 1:] ^= raw[:, :-1]
     detectors: dict[int, list[int]] = {}
@@ -549,61 +576,60 @@ def build_decoding_graph(
     del inject, frame, record, raw, diff   # before the templates grow: peak memory
 
     # Per-round fault templates in this basis, pre-merged by detection pattern.
+    # A choice's pattern and logical flip depend only on which of the site's
+    # qubits carry a generator of this sector, so each carrier set is
+    # computed once; every choice still adds its own probability, in order.
+    carriers = _carriers(sector)
     template: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
     template_obs: dict[tuple[int, int], int] = {}
     merged: dict[tuple[tuple[int, int], ...], _EdgeAcc] = {}
     for loc in census:
-        p_loc = loc.fault_probability(noise.p)
-        base = loc.step * n_q
-        for choice in range(loc.n_choices):
-            if loc.kind is LocationKind.MEAS:
-                gens = [base + loc.qubits[0]]
-            else:
-                gens = [base + q for q, *xz in fault_pauli_bits(loc, choice) if xz[sector]]
-            flips: set[int] = set()
-            obs = 0
-            for col in gens:
-                flips.symmetric_difference_update(detectors.get(col, ()))
-                obs ^= gen_obs[col]
-            pattern = tuple(det_of_key[key] for key in sorted(flips))
-            if len(pattern) > 2:
-                raise ScheduleError(
-                    f"fault {loc.kind.value}@step{loc.step} qubits {loc.qubits} "
-                    f"triggers {len(pattern)} detectors of basis {basis.value}"
-                )
-            if any(dt > 2 for _, dt in pattern):
-                raise ScheduleError("fault pattern did not settle within two rounds")
-            template[(loc.index, choice)] = pattern
-            template_obs[(loc.index, choice)] = obs
-            acc = merged.setdefault(pattern, _EdgeAcc())
-            acc.add(p_loc / loc.n_choices, obs)
+        p_choice = loc.fault_probability(noise.p) / loc.n_choices
+        cols = [loc.step * n_q + q for q in loc.qubits]
+        seen: dict[tuple[int, ...], tuple] = {}
+        for choice, carried in enumerate(carriers[loc.kind]):
+            if carried not in seen:
+                flips, obs = set(), 0
+                for i in carried:
+                    flips.symmetric_difference_update(detectors.get(cols[i], ()))
+                    obs ^= gen_obs[cols[i]]
+                pattern = tuple(det_of_key[key] for key in sorted(flips))
+                if len(pattern) > 2:
+                    raise ScheduleError(
+                        f"fault {loc.kind.value}@step{loc.step} qubits {loc.qubits} "
+                        f"triggers {len(pattern)} detectors of basis {basis.value}"
+                    )
+                if any(dt > 2 for _, dt in pattern):
+                    raise ScheduleError("fault pattern did not settle within two rounds")
+                seen[carried] = (pattern, obs, merged.setdefault(pattern, _EdgeAcc()))
+            pattern, obs, acc = seen[carried]
+            template[loc.index, choice] = pattern
+            template_obs[loc.index, choice] = obs
+            acc.add(p_choice, obs)
     del detectors, gen_obs
 
     # Place the templates in every noisy round, clipping at window boundaries.
+    # A pattern lists its detectors in (check, dt) order, so its clipped,
+    # translated vertices are already a sorted edge key; vertices are shared.
+    first = int(drop_initial)
+    vertex = [[(q, t) for t in range(rounds)] for q in range(len(checks))]
+    placed = [(pattern, acc.probability, acc.obs or 0, acc.conflict, len(pattern) == 1)
+              for pattern, acc in merged.items()]
     acc_by_key: dict[tuple, _EdgeAcc] = {}
     invisible_obs = 0
     for t in range(noisy):
-        for pattern, tpl_acc in merged.items():
-            if not pattern:
-                if tpl_acc.obs:
-                    invisible_obs += 1
+        for pattern, p, obs, conflict, spatial in placed:
+            key = tuple([vertex[q][t + dt] for q, dt in pattern if first <= t + dt < rounds])
+            if not key:
+                invisible_obs += obs != 0
                 continue
-            verts = []
-            for q, dt in pattern:
-                tt = t + dt
-                if tt >= rounds or (drop_initial and tt == 0):
-                    continue
-                verts.append((q, tt))
-            if not verts:
-                if tpl_acc.obs:
-                    invisible_obs += 1
-                continue
-            key = _edge_key(*sorted(verts)) if len(verts) == 2 else (verts[0],)
-            acc = acc_by_key.setdefault(key, _EdgeAcc())
-            acc.add(tpl_acc.probability, tpl_acc.obs or 0)
-            if tpl_acc.conflict:
+            acc = acc_by_key.get(key)
+            if acc is None:
+                acc = acc_by_key[key] = _EdgeAcc()
+            acc.add(p, obs)
+            if conflict:
                 acc.conflict = True
-            if len(verts) == 1 and len(pattern) == 1:
+            if spatial and len(key) == 1:
                 acc.has_spatial_half = True
 
     edges, half_edges, conflicts = [], [], 0
@@ -623,7 +649,7 @@ def build_decoding_graph(
             kind = "boundary" if acc.has_spatial_half else "time_boundary"
             half_edges.append(Edge(key[0], None, p_e, _weight(p_e), kind, obs))
 
-    centers = [p.center for p in layout.checks(basis)]
+    centers = [p.center for p in checks]
     graph = DecodingGraph(
         layout,
         basis,

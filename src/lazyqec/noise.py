@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,8 +91,7 @@ class FaultLocation:
         return SINGLE_PAULIS[choice]
 
 
-@dataclass(frozen=True)
-class FaultEvent:
+class FaultEvent(NamedTuple):
     """A sampled Pauli fault: where it happened and which Pauli it is."""
 
     round: int
@@ -126,11 +126,24 @@ def round_census(schedule: CircuitSchedule) -> tuple[FaultLocation, ...]:
     return tuple(out)
 
 
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """Hands Philox its key as its seed sequence.  ``Philox(key=...)`` would
+    first build a ``SeedSequence`` from OS entropy and then discard it."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
+_COUNTER = np.zeros(4, dtype=np.uint64)   # copied by Philox: an array skips int parsing
+
+
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox generator keyed on (seed, stream); the documented RNG of this package."""
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed % 2**64, stream % 2**64], dtype=np.uint64))
-    )
+    key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=_COUNTER))
 
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
@@ -144,11 +157,13 @@ class FaultSampler:
     Each probability class, ``p`` (prep, wait, CNOT) and ``2p/3`` (measure),
     is one Bernoulli field over its flat (round, location) indices, sampled
     exactly by geometric gaps from hit to hit.  The hits, merged in (round,
-    census index) order, then draw their Pauli choices.
+    census index) order, then draw one uniform number each; ``u`` picks
+    choice ``int(u * n_choices)``.
     """
 
     def __init__(self, census: tuple[FaultLocation, ...], rounds: int, p: float):
         self.census = census
+        self._n_choices = [loc.n_choices for loc in census]
         # (probability, census indices, flat size, gaps per batch: the mean
         # hit count plus four deviations)
         self._classes = []
@@ -169,12 +184,10 @@ class FaultSampler:
                         break
                     t, j = divmod(pos, len(idx))
                     hits.append((t, idx[j]))
-        out = []
-        for t, j in sorted(hits):
-            loc = self.census[j]
-            choice = int(rng.integers(loc.n_choices)) if loc.n_choices > 1 else 0
-            out.append(FaultEvent(t, loc, choice))
-        return out
+        hits.sort()
+        u = rng.random(len(hits)).tolist() if hits else ()
+        census, n_choices = self.census, self._n_choices
+        return [FaultEvent(t, census[j], int(x * n_choices[j])) for (t, j), x in zip(hits, u)]
 
 
 def sample_faults(

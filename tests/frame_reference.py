@@ -4,11 +4,13 @@ This is the sparse Pauli-frame propagator the package used before its
 vectorised kernel: one fault list at a time, as a dict from qubit to its
 (x, z) bits.  Tests compare the kernel's fault templates and its window
 replays against it, so the round-trip check of the fault map does not rest
-on the kernel alone.
+on the kernel alone.  ``reference_edges`` goes one step further and rebuilds
+a graph's edges from these templates, merging fault by fault.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
@@ -160,3 +162,78 @@ def reference_window(
         for bidx, t in s_flips[b]:
             s[b][t, bidx] = 1
     return s, x_frame, z_frame
+
+
+_KIND_RANK = {"space": 0, "time": 1, "diagonal": 2, "boundary": 0, "time_boundary": 1}
+
+
+def reference_edges(
+    layout: CodeLayout,
+    schedule: CircuitSchedule,
+    basis: CheckBasis,
+    p: float,
+    rounds: int,
+    *,
+    drop_initial: bool = True,
+    noisy_rounds: int | None = None,
+):
+    """Edges of the decoding graph, rebuilt from ``reference_templates``.
+
+    Every fault choice is merged on its own into its detection pattern, in
+    census and choice order, with ``prod (1 - 2 p_i)``; the merged patterns
+    are then placed in every noisy round, clipped at the window boundaries
+    and merged again by vertex set.  Returns ``(edges, half_edges,
+    obs_conflicts, invisible_obs_faults)``, each edge a tuple ``(u, v,
+    probability, weight, kind, obs)``, in the canonical scan order.
+    """
+    template, template_obs = reference_templates(layout, schedule, basis)
+    merged: dict[tuple, list] = {}   # pattern -> [prod (1 - 2 p_i), obs, conflict]
+    for loc in round_census(schedule):
+        p_choice = loc.fault_probability(p) / loc.n_choices
+        for choice in range(loc.n_choices):
+            obs = template_obs[loc.index, choice]
+            acc = merged.setdefault(template[loc.index, choice], [1.0, obs, False])
+            acc[0] *= 1.0 - 2.0 * p_choice
+            acc[2] = acc[2] or acc[1] != obs
+
+    noisy = rounds if noisy_rounds is None else noisy_rounds
+    placed: dict[tuple, list] = {}   # vertices -> [prod, obs, conflict, spatial]
+    invisible = 0
+    for t in range(noisy):
+        for pattern, (pi, obs, conflict) in merged.items():
+            verts = tuple(sorted(
+                (q, t + dt) for q, dt in pattern
+                if t + dt < rounds and not (drop_initial and t + dt == 0)
+            ))
+            if not verts:
+                invisible += obs != 0
+                continue
+            acc = placed.setdefault(verts, [1.0, obs, False, False])
+            acc[0] *= 1.0 - 2.0 * ((1.0 - pi) / 2.0)
+            acc[2] = acc[2] or conflict or acc[1] != obs
+            acc[3] = acc[3] or (len(verts) == 1 and len(pattern) == 1)
+
+    edges, half_edges = [], []
+    for verts, (pi, obs, conflict, spatial) in placed.items():
+        prob = (1.0 - pi) / 2.0
+        weight = math.log((1.0 - prob) / prob) if 0.0 < prob < 1.0 else math.inf
+        if len(verts) == 2:
+            (qu, tu), (qv, tv) = verts
+            kind = "time" if qu == qv else "space" if tu == tv else "diagonal"
+            edges.append((verts[0], verts[1], prob, weight, kind, obs))
+        else:
+            kind = "boundary" if spatial else "time_boundary"
+            half_edges.append((verts[0], None, prob, weight, kind, obs))
+
+    centers = [c.center for c in layout.checks(basis)]
+
+    def tyx(v):
+        x, y = centers[v[0]]
+        return (v[1], y, x)
+
+    def scan_order(edge):
+        ends = sorted([v for v in edge[:2] if v is not None], key=tyx)
+        return (tyx(ends[0]), _KIND_RANK[edge[4]], tyx(ends[1]) if len(ends) == 2 else ())
+
+    conflicts = sum(acc[2] for acc in placed.values())
+    return sorted(edges, key=scan_order), sorted(half_edges, key=scan_order), conflicts, invisible

@@ -12,6 +12,9 @@ from pathlib import Path
 import pytest
 
 from lazyqec.cli import main
+from lazyqec.code_model import CheckBasis, build_rotated_surface_code, build_schedule
+from lazyqec.graph import build_decoding_graph
+from lazyqec.noise import NoiseParams
 
 ROOT = Path(__file__).resolve().parents[1]
 SUBCOMMANDS = {"simulate", "requirements", "benchmark", "bandwidth", "graph-dump"}
@@ -112,6 +115,20 @@ def test_graph_dump(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["rounds"] == 1
+
+
+def test_graph_dump_reports_graph_diagnostics(capsys):
+    code, out, _ = run(capsys, "graph-dump", "--d", "3", "--rounds", "3")
+    assert code == 0
+    doc = json.loads(out)
+    lay = build_rotated_surface_code(3)
+    graph = build_decoding_graph(lay, build_schedule(lay), 3, NoiseParams(1e-3), CheckBasis.X)
+    assert doc["obs_conflicts"] == graph.obs_conflicts
+    assert doc["invisible_obs_faults"] == graph.invisible_obs_faults
+    kinds = [e.kind for e in (*graph.edges, *graph.half_edges)]
+    assert doc["edge_counts"] == {k: kinds.count(k) for k in doc["edge_counts"]}
+    assert set(doc["edge_counts"]) == {"space", "time", "diagonal", "boundary", "time_boundary"}
+    assert sum(doc["edge_counts"].values()) == len(doc["edges"])
 
 
 def test_usage_error_exit_1(capsys):

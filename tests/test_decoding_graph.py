@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -36,6 +37,24 @@ def d3():
     sch = build_schedule(lay)
     graph = build_decoding_graph(lay, sch, 4, NoiseParams(1e-3), CheckBasis.X)
     return lay, sch, graph
+
+
+def test_build_restores_the_collector_state():
+    """build_decoding_graph pauses the cyclic garbage collector; it must
+    leave it as it found it, also when the build raises."""
+    lay = build_rotated_surface_code(3)
+    sch = build_schedule(lay)
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            build_decoding_graph(lay, sch, 3, NoiseParams(1e-3))
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValueError):
+                build_decoding_graph(lay, sch, 0, NoiseParams(1e-3))
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_no_self_loops_and_probability_range(d3):

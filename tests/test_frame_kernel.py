@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from frame_reference import reference_templates, reference_window
+from frame_reference import reference_edges, reference_templates, reference_window
 from lazyqec.code_model import CheckBasis, build_rotated_surface_code, build_schedule
 from lazyqec.graph import build_decoding_graph, simulate_window
 from lazyqec.noise import LocationKind, NoiseParams, sample_faults, trial_rng
@@ -21,6 +21,30 @@ def test_templates_match_reference(d, basis):
     assert graph._template == template
     assert graph._template_obs == template_obs
     assert any(template_obs.values())
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+@pytest.mark.parametrize("basis", list(CheckBasis))
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_edges_match_reference(d, basis, closed):
+    """Edges, merged probabilities and weights are bit-identical to a build
+    that merges every fault choice on its own."""
+    lay = build_rotated_surface_code(d)
+    sch = build_schedule(lay)
+    window = dict(drop_initial=False, noisy_rounds=d) if closed else {}
+    rounds = d + 1 if closed else d
+    graph = build_decoding_graph(lay, sch, rounds, NoiseParams(1e-3), basis, **window)
+    edges, half_edges, conflicts, invisible = reference_edges(
+        lay, sch, basis, 1e-3, rounds, **window
+    )
+
+    def fields(e):
+        return (e.u, e.v, e.probability, e.weight, e.kind, e.obs)
+
+    assert [fields(e) for e in graph.edges] == edges
+    assert [fields(e) for e in graph.half_edges] == half_edges
+    assert (graph.obs_conflicts, graph.invisible_obs_faults) == (conflicts, invisible)
+    assert {e[4] for e in edges} == {"space", "time", "diagonal"}
 
 
 def test_window_replay_matches_reference():

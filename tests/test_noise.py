@@ -1,8 +1,11 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from lazyqec.code_model import build_rotated_surface_code, build_schedule
 from lazyqec.noise import (
+    FaultEvent,
     FaultSampler,
     LocationKind,
     NoiseMode,
@@ -28,6 +31,16 @@ def test_noise_params_range():
 def test_two_qubit_pauli_count():
     assert len(TWO_QUBIT_PAULIS) == 15
     assert "II" not in TWO_QUBIT_PAULIS
+
+
+def test_fault_event_fields():
+    cnot = next(loc for loc in round_census(build_schedule(build_rotated_surface_code(3)))
+                if loc.kind is LocationKind.CNOT)
+    ev = FaultEvent(2, cnot, 5)
+    assert (ev.round, ev.location, ev.choice) == (2, cnot, 5)
+    assert ev.pauli == TWO_QUBIT_PAULIS[5]
+    t, loc, choice = ev
+    assert (t, loc, choice) == (2, cnot, 5)
 
 
 def test_census_covers_every_location():
@@ -97,6 +110,70 @@ def test_trial_streams_disjoint():
 def test_make_rng_streams():
     assert make_rng(1, 0).random() != make_rng(1, 1).random()
     assert make_rng(1, 2).random() == make_rng(1, 2).random()
+
+
+def _keyed_philox(seed, trial):
+    key = np.array([seed % 2**64, (trial + 1) % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, -1])
+def test_trial_rng_is_the_keyed_philox_stream(seed):
+    for trial in range(100):
+        got, want = trial_rng(seed, trial), _keyed_philox(seed, trial)
+        assert got.random(3).tolist() == want.random(3).tolist()
+        assert got.geometric(1e-3, 3).tolist() == want.geometric(1e-3, 3).tolist()
+        assert got.integers(15, size=3).tolist() == want.integers(15, size=3).tolist()
+
+
+def test_trial_rngs_held_at_once_stay_independent():
+    a, b = trial_rng(9, 0), trial_rng(9, 1)
+    assert a is not b and a.bit_generator is not b.bit_generator
+    head_a = a.random(4).tolist()
+    head_b = b.random(4).tolist()
+    tail_a = a.random(4).tolist()
+    want_a, want_b = _keyed_philox(9, 0), _keyed_philox(9, 1)
+    assert head_a + tail_a == want_a.random(8).tolist()
+    assert head_b == want_b.random(4).tolist()
+
+
+def test_trial_rng_pickles():
+    rng = trial_rng(3, 4)
+    rng.random(5)
+    copy = pickle.loads(pickle.dumps(rng))
+    assert copy.random(6).tolist() == rng.random(6).tolist()
+
+
+def test_sampler_draw_order():
+    """Geometric gaps place the hits of each probability class, in the same
+    draws whatever the choices; then one uniform per hit, in (round, census
+    index) order, picks its Pauli choice."""
+    census = round_census(build_schedule(build_rotated_surface_code(3)))
+    rounds, p = 6, 0.02
+    sampler = FaultSampler(census, rounds, p)
+    total = 0
+    for trial in range(300):
+        rng = trial_rng(17, trial)
+        hits = []
+        for q, meas in ((p, False), (2 * p / 3, True)):
+            idx = [loc.index for loc in census if (loc.kind is LocationKind.MEAS) == meas]
+            n = len(idx) * rounds
+            batch = int(q * n + 4.0 * (q * n) ** 0.5) + 1
+            pos = -1
+            while pos < n:
+                for gap in rng.geometric(q, batch).tolist():
+                    pos += gap
+                    if pos >= n:
+                        break
+                    t, j = divmod(pos, len(idx))
+                    hits.append((t, idx[j]))
+        hits.sort()
+        u = rng.random(len(hits)).tolist() if hits else []
+        want = [(t, j, int(x * census[j].n_choices)) for (t, j), x in zip(hits, u)]
+        got = sampler.sample(trial_rng(17, trial))
+        assert [(ev.round, ev.location.index, ev.choice) for ev in got] == want
+        total += len(got)
+    assert total > 500
 
 
 @pytest.fixture(scope="module")

@@ -27,6 +27,7 @@ import numpy as np
 
 from .code_model import CheckBasis, CircuitSchedule, CodeLayout, Cnot, MeasureAncilla, PrepAncilla
 from .noise import (
+    FaultBlock,
     FaultEvent,
     FaultLocation,
     LocationKind,
@@ -78,6 +79,20 @@ class MatchingIndex(NamedTuple):
     adj: tuple[tuple[tuple[int, float, int], ...], ...]  # (neighbour, weight, eid)
     bdist: list[float]                              # distance to the boundary
     bstep: list[tuple[int, int]]                    # (next id or -1, eid) toward it
+
+
+class _FaultTable(NamedTuple):
+    """Flat fault map: row ``location * width + choice`` lists at most two
+    detectors, each as the vertex id ``dt * n_checks + check`` relative to the
+    fault's round; an absent one holds ``_ABSENT``, past every window."""
+
+    width: int
+    offset: np.ndarray          # (rows, 2)
+    obs: np.ndarray             # (rows,) logical-flip mask
+    vertex: list[Vertex]        # vertex of id ``round * n_checks + check``
+
+
+_ABSENT = 1 << 40
 
 
 class DefectClasses(NamedTuple):
@@ -132,12 +147,16 @@ class DecodingGraph:
         self.half_edge_id: dict[Vertex, int] = {}
         for i, e in enumerate(self.half_edges):
             eid = len(self.edges) + i
+            if e.u in self.half_edge_id:
+                # the decoders reach the boundary through one half-edge per vertex
+                raise ValueError(f"two half-edges at vertex {e.u}")
             self.half_edge_id[e.u] = eid
             self.edge_id_by_key[(e.u,)] = eid
         # Declared here, filled on first use: on CPython 3.11 an attribute
         # added after __init__ slows every attribute read on the graph, and
         # lazy decoding ran about 7% slower with it.
         self._matching_index: MatchingIndex | None = None
+        self._fault_table: _FaultTable | None = None
 
     # --- basic accessors ---------------------------------------------------
 
@@ -212,21 +231,61 @@ class DecodingGraph:
         return tuple(sorted(self.syndrome_of_faults((event,)).defects))
 
     def syndrome_of_faults(self, events: Iterable[FaultEvent]) -> Syndrome:
-        acc: set[Vertex] = set()
-        template, first, rounds = self._template, int(self.drop_initial), self.rounds
+        """Defect set of one trial's fault list: a one-trial view of
+        ``block_syndromes``."""
+        return self.block_syndromes(self._event_block(events))[0][0]
+
+    def block_syndromes(self, faults: FaultBlock) -> tuple[list[Syndrome], list[int]]:
+        """Per trial of a fault block, its defect set and logical-flip mask.
+
+        Every fault places its template's detectors at its round; those
+        outside the window are clipped, and a vertex is a defect when an odd
+        number of its trial's faults place it.  The block's entries must
+        come from this graph's census, as ``FaultSampler`` draws them.
+        """
+        table = self._fault_table or self._build_fault_table()
+        n_v = self.rounds * self.n_checks
+        row = faults.location * table.width + faults.choice
+        # vertex id round * n_checks + check: with 0 <= check < n_checks, the
+        # window's rounds are one range of ids
+        vid = (faults.round * self.n_checks)[:, None] + table.offset[row]
+        keep = (vid >= int(self.drop_initial) * self.n_checks) & (vid < n_v)
+        key = np.sort((faults.trial[:, None] * n_v + vid)[keep])
+        bound = np.ones(key.size + 1, dtype=bool)   # where a run of equal keys starts or ends
+        np.not_equal(key[1:], key[:-1], out=bound[1:-1])
+        start = np.flatnonzero(bound)
+        key = key[start[:-1][(start[1:] - start[:-1]) & 1 == 1]]   # odd runs
+        cut = np.searchsorted(key, np.arange(faults.trials + 1) * n_v).tolist()
+        vertex = table.vertex
+        defects = [vertex[v] for v in (key % n_v).tolist()]
+        syndromes = [Syndrome(frozenset(defects[a:b])) for a, b in zip(cut, cut[1:])]
+        obs = np.zeros(faults.trials, dtype=np.int64)
+        np.bitwise_xor.at(obs, faults.trial, table.obs[row])
+        return syndromes, obs.tolist()
+
+    def _event_block(self, events: Iterable[FaultEvent]) -> FaultBlock:
+        """A fault list as a one-trial block; rejects faults off the census."""
+        rows = []
         for t, loc, choice in events:
-            try:
-                pattern = template[loc.index, choice]
-            except KeyError:
-                raise ValueError(f"unknown fault location {loc}") from None
-            for q, dt in pattern:
-                if first <= t + dt < rounds:
-                    v = (q, t + dt)
-                    if v in acc:
-                        acc.remove(v)
-                    else:
-                        acc.add(v)
-        return Syndrome(frozenset(acc))
+            if (loc.index, choice) not in self._template:
+                raise ValueError(f"unknown fault location {loc}")
+            rows.append((t, loc.index, choice))
+        t, loc, choice = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+        return FaultBlock(1, np.zeros(t.size, dtype=np.int64), t, loc, choice)
+
+    def _build_fault_table(self) -> _FaultTable:
+        """Built on first use from the template dicts."""
+        width = max((c for _, c in self._template), default=-1) + 1
+        rows = (max((j for j, _ in self._template), default=-1) + 1) * width
+        offset = np.full((rows, 2), _ABSENT, dtype=np.int64)
+        obs = np.zeros(rows, dtype=np.int64)
+        for (j, c), pattern in self._template.items():
+            for slot, (q, dt) in enumerate(pattern):
+                offset[j * width + c, slot] = dt * self.n_checks + q
+            obs[j * width + c] = self._template_obs[j, c]
+        vertex = [(q, t) for t in range(self.rounds) for q in range(self.n_checks)]
+        self._fault_table = _FaultTable(width, offset, obs, vertex)
+        return self._fault_table
 
     def correction_syndrome(self, edge_ids: Iterable[int]) -> frozenset[Vertex]:
         acc: set[Vertex] = set()
@@ -236,11 +295,9 @@ class DecodingGraph:
         return frozenset(acc)
 
     def obs_of_faults(self, events: Iterable[FaultEvent]) -> int:
-        """Logical-flip bitmask of a fault list (XOR of per-fault flips)."""
-        mask, template_obs = 0, self._template_obs
-        for _, loc, choice in events:
-            mask ^= template_obs[loc.index, choice]
-        return mask
+        """Logical-flip bitmask of a fault list (XOR of per-fault flips): a
+        one-trial view of ``block_syndromes``."""
+        return self.block_syndromes(self._event_block(events))[1][0]
 
     def obs_of_edges(self, edge_ids: Iterable[int]) -> int:
         mask = 0
@@ -714,17 +771,28 @@ def build_perfect_graph(
         CheckBasis.Z if basis is CheckBasis.X else CheckBasis.X
     )
     p = noise.p
-    edges, half_edges = [], []
+    masks: dict[tuple[int, ...], list[int]] = {}   # checks seeing a qubit -> logical masks
     for q in range(layout.n_data):
         plqs = membership.get(q, [])
-        obs = sum(1 << i for i, rep in enumerate(logicals) if q in rep)
-        if len(plqs) == 2:
-            u, v = sorted(((plqs[0], 0), (plqs[1], 0)))
-            edges.append(Edge(u, v, p, _weight(p), "space", obs))
-        elif len(plqs) == 1:
-            half_edges.append(Edge((plqs[0], 0), None, p, _weight(p), "boundary", obs))
-        else:
+        if len(plqs) not in (1, 2):
             raise AssertionError(f"data qubit {q} invisible to basis {basis.value}")
+        masks.setdefault(tuple(sorted(plqs)), []).append(
+            sum(1 << i for i, rep in enumerate(logicals) if q in rep))
+    # Qubits seen by exactly the same checks (pairs of boundary qubits of the
+    # rotated layout) merge into one edge by the XOR rule; a lone qubit keeps
+    # p exactly.
+    edges, half_edges, conflicts = [], [], 0
+    for seen_by, obs in masks.items():
+        p_e = p
+        if len(obs) > 1:
+            acc = _EdgeAcc()
+            for mask in obs:
+                acc.add(p, mask)
+            p_e, conflicts = acc.probability, conflicts + acc.conflict
+        if len(seen_by) == 2:
+            edges.append(Edge((seen_by[0], 0), (seen_by[1], 0), p_e, _weight(p_e), "space", obs[0]))
+        else:
+            half_edges.append(Edge((seen_by[0], 0), None, p_e, _weight(p_e), "boundary", obs[0]))
     centers = [plq.center for plq in checks]
     return DecodingGraph(
         layout,
@@ -733,4 +801,5 @@ def build_perfect_graph(
         _sort_canonical(edges, centers),
         _sort_canonical(half_edges, centers),
         drop_initial=False,
+        obs_conflicts=conflicts,
     )

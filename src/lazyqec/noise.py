@@ -8,8 +8,9 @@ probability ``p`` (Pauli uniform over X, Y, Z), a CNOT with probability ``p``
 flips with probability ``2p/3``.
 
 Randomness uses the counter-based Philox generator keyed on
-``(seed, stream)``; derived per-trial streams are therefore independent by
-construction and reproducible across runs and worker counts.
+``(seed, stream)``; derived streams, one per trial or per block of trials,
+are therefore independent by construction and reproducible across runs and
+worker counts.
 """
 
 from __future__ import annotations
@@ -151,43 +152,71 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return make_rng(master_seed, trial + 1)
 
 
+class FaultBlock(NamedTuple):
+    """The faults of ``trials`` consecutive trials as parallel int arrays,
+    one entry per fault, sorted by (trial, round, census index)."""
+
+    trials: int
+    trial: np.ndarray
+    round: np.ndarray
+    location: np.ndarray       # census index
+    choice: np.ndarray
+
+
 class FaultSampler:
     """Circuit-level faults over ``rounds`` repetitions of a location census.
 
     Each probability class, ``p`` (prep, wait, CNOT) and ``2p/3`` (measure),
-    is one Bernoulli field over its flat (round, location) indices, sampled
-    exactly by geometric gaps from hit to hit.  The hits, merged in (round,
-    census index) order, then draw one uniform number each; ``u`` picks
-    choice ``int(u * n_choices)``.
+    is one Bernoulli field over its flat (trial, round, location) indices,
+    sampled exactly by geometric gaps from hit to hit.  The hits, merged in
+    (trial, round, census index) order, then draw one uniform number each;
+    ``u`` picks choice ``int(u * n_choices)``.
     """
 
     def __init__(self, census: tuple[FaultLocation, ...], rounds: int, p: float):
         self.census = census
-        self._n_choices = [loc.n_choices for loc in census]
-        # (probability, census indices, flat size, gaps per batch: the mean
-        # hit count plus four deviations)
-        self._classes = []
+        self.rounds = rounds
+        self._n_choices = np.array([loc.n_choices for loc in census], dtype=np.int64)
+        self._classes = []     # (probability, census indices)
         for q, meas in ((p, False), (2.0 * p / 3.0, True)):
             idx = [loc.index for loc in census if (loc.kind is LocationKind.MEAS) == meas]
-            n = len(idx) * rounds
-            if q > 0.0 and n:
-                self._classes.append((q, idx, n, int(q * n + 4.0 * (q * n) ** 0.5) + 1))
+            if q > 0.0 and idx and rounds:
+                self._classes.append((q, np.array(idx, dtype=np.int64)))
+
+    def sample_block(self, rng: np.random.Generator, trials: int) -> FaultBlock:
+        """The faults of ``trials`` consecutive trials, drawn from one stream.
+
+        Per class, the gaps come in batches of the mean hit count over the
+        block plus four deviations, until the position passes the end; a gap
+        past the end is clipped to it, which moves no hit and keeps the sum
+        of a batch from overflowing.
+        """
+        span = self.rounds * len(self.census)   # sort keys of one trial
+        keys = []
+        for q, idx in self._classes:
+            size = trials * self.rounds * idx.size
+            batch = int(q * size + 4.0 * (q * size) ** 0.5) + 1
+            pos = -1
+            while pos < size:
+                at = pos + np.cumsum(np.minimum(rng.geometric(q, batch), size + 1))
+                pos = int(at[-1])
+                at = at[: np.searchsorted(at, size)]
+                row, j = np.divmod(at, idx.size)   # row = trial * rounds + round
+                keys.append(row * len(self.census) + idx[j])
+        key = np.sort(np.concatenate(keys)) if keys else np.zeros(0, dtype=np.int64)
+        trial, rest = np.divmod(key, span)
+        t, j = np.divmod(rest, len(self.census))
+        choice = (rng.random(key.size) * self._n_choices[j]).astype(np.int64)
+        return FaultBlock(trials, trial, t, j, choice)
 
     def sample(self, rng: np.random.Generator) -> list[FaultEvent]:
-        hits = []
-        for q, idx, n, batch in self._classes:
-            pos = -1   # skip from hit to hit by geometric gaps, a batch at a time
-            while pos < n:
-                for gap in rng.geometric(q, batch).tolist():
-                    pos += gap
-                    if pos >= n:
-                        break
-                    t, j = divmod(pos, len(idx))
-                    hits.append((t, idx[j]))
-        hits.sort()
-        u = rng.random(len(hits)).tolist() if hits else ()
-        census, n_choices = self.census, self._n_choices
-        return [FaultEvent(t, census[j], int(x * n_choices[j])) for (t, j), x in zip(hits, u)]
+        """The faults of one trial: the one-trial view of ``sample_block``."""
+        block = self.sample_block(rng, 1)
+        census = self.census
+        return [
+            FaultEvent(t, census[j], c)
+            for t, j, c in zip(block.round.tolist(), block.location.tolist(), block.choice.tolist())
+        ]
 
 
 def sample_faults(
@@ -206,8 +235,15 @@ def sample_faults(
         raise ValueError("sample_faults requires circuit-level noise")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    sampler = FaultSampler(round_census(schedule), rounds, noise.p)
-    return sampler.sample(make_rng(seed) if rng is None else rng)
+    return _schedule_sampler(schedule, rounds, noise.p).sample(make_rng(seed) if rng is None else rng)
+
+
+@lru_cache(maxsize=16)
+def _schedule_sampler(schedule: CircuitSchedule, rounds: int, p: float) -> FaultSampler:
+    """Shared by every ``sample_faults`` call with these arguments: building a
+    sampler walks the whole census, which cost several one-trial draws at
+    d=5, and a sampler is never modified."""
+    return FaultSampler(round_census(schedule), rounds, p)
 
 
 def sample_data_errors(

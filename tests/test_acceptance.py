@@ -132,11 +132,14 @@ def test_03_lazy_minimality_oracle():
     )
 
 
-def _round_trip_trial(payload, seed, i):
+def _round_trip_block(payload, seed, lo, hi):
     lay, sch, noise, graph = payload
-    faults = sample_faults(sch, 5, noise, seed=0, rng=trial_rng(seed, i))
-    raw, _, _ = simulate_window(lay, sch, 5, faults)
-    return faults_to_syndrome(graph, faults) != difference_syndrome(raw[CheckBasis.X])
+    mismatches = []
+    for i in range(lo, hi):
+        faults = sample_faults(sch, 5, noise, seed=0, rng=trial_rng(seed, i))
+        raw, _, _ = simulate_window(lay, sch, 5, faults)
+        mismatches.append(faults_to_syndrome(graph, faults) != difference_syndrome(raw[CheckBasis.X]))
+    return mismatches
 
 
 def test_04_round_trip_consistency():
@@ -145,7 +148,7 @@ def test_04_round_trip_consistency():
     noise = NoiseParams(1e-3)
     graph = build_decoding_graph(lay, sch, 5, noise, CheckBasis.X)
     payload = (lay, sch, noise, graph)
-    mismatches = sum(_run_trials(_round_trip_trial, payload, 202, 100_000, WORKERS))
+    mismatches = sum(_run_trials(_round_trip_block, payload, 202, 100_000, WORKERS))
     _report(4, "round-trip consistency", mismatches == 0,
             f"100000 samples, {mismatches} mismatches")
 

@@ -18,6 +18,7 @@ from lazyqec.graph import (
     difference_syndrome,
     faults_to_syndrome,
     is_logical_failure,
+    make_graph,
     simulate_window,
 )
 from lazyqec.noise import (
@@ -188,11 +189,26 @@ def test_is_logical_failure():
         is_logical_failure(lay, [0])  # corner qubit alone triggers a check
 
 
-def test_perfect_graph_shape():
-    lay = build_rotated_surface_code(3)
-    g = build_perfect_graph(lay, NoiseParams(0.05, NoiseMode.PERFECT_MEASUREMENT))
-    assert g.n_edges == lay.n_data
+@pytest.mark.parametrize("basis", list(CheckBasis))
+@pytest.mark.parametrize("d", [3, 5, 9])
+def test_perfect_graph_shape(d, basis):
+    """One edge per data qubit, except that the d - 1 pairs of boundary
+    qubits seen by one check alone merge into one half-edge each, by the XOR
+    rule; no edge key is dropped."""
+    lay = build_rotated_surface_code(d)
+    p = 0.05
+    g = build_perfect_graph(lay, NoiseParams(p, NoiseMode.PERFECT_MEASUREMENT), basis)
     assert g.rounds == 1
+    assert g.n_edges == len(g.edge_id_by_key) == lay.n_data - (d - 1)
+    merged = [e for e in (*g.edges, *g.half_edges) if e.probability != p]
+    assert len(merged) == d - 1 and all(e.is_half for e in merged)
+    assert all(e.probability == pytest.approx(2 * p * (1 - p)) for e in merged)
+    assert g.obs_conflicts == 0
+
+
+def test_graph_rejects_two_half_edges_at_one_vertex():
+    with pytest.raises(ValueError, match="two half-edges at vertex"):
+        make_graph([((0, 0), (1, 0))], [(0, 0), (1, 0), (0, 0)])
 
 
 def test_graph_json_round_trip(d3):

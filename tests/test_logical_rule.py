@@ -25,9 +25,9 @@ SEED = 17
 def qubit_of_edge(layout, graph) -> list[int]:
     """Data qubit of each edge, found from the layout by the X checks that
     see it and by its parity against each logical Z representative.  Where
-    two qubits share both, as parallel half-edges of equal parity do, they
-    have the same syndrome and logical parity, so either gives the same
-    verdict; each edge still gets its own qubit."""
+    two qubits share both, as the boundary pairs that the graph merges into
+    one half-edge do, they have the same syndrome and logical parity, so
+    either gives the same verdict."""
     checks = layout.checks(CheckBasis.X)
     logicals = layout.logical_supports(CheckBasis.Z)
     by_key: dict = {}

@@ -6,9 +6,11 @@ Every estimate is reproducible from a master seed.  Trials run in blocks of
 Philox stream ``(seed, b)``, and a perfect-measurement trial ``i`` draws from
 ``(seed, i + 1)``.  A last, partial block is sampled whole and truncated, so
 a trial's outcome depends neither on the worker count, nor on scheduling
-order, nor on the number of trials.  Rates come with Wilson 95% intervals; a run
-with zero observed failures reports the rule-of-three upper bound 3/n and is
-marked censored.
+order, nor on the number of trials.  The lazy rule runs on a whole block at
+once (``lazy.lazy_block``); only its failures, and the trials of the decoders
+without a lazy stage, are decoded one by one.  Rates come with Wilson 95%
+intervals; a run with zero observed failures reports the rule-of-three upper
+bound 3/n and is marked censored.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from .code_model import (
 )
 from .decoders import DecoderKind, decode
 from .graph import DecodingGraph, Syndrome, build_decoding_graph, build_perfect_graph
-from .lazy import lazy_decode
+# lazy_decode stays importable here: the benchmark's tracer wraps experiments.lazy_decode
+from .lazy import lazy_block, lazy_decode  # noqa: F401
 from .noise import FaultSampler, NoiseMode, NoiseParams, make_rng, trial_rng
 from .resources import RequirementReport, SystemParams, requirement_report, select_distance
 
@@ -79,9 +82,10 @@ def estimate_from_counts(k: int, n: int, seed: int) -> Estimate:
 # --- worker pool --------------------------------------------------------------
 
 # Trials per block.  A block pays a fixed numpy cost, so small blocks are
-# slow; large ones keep more syndromes alive, which the cyclic collector then
-# scans.  At d=15, p=1e-4 sampling plus syndromes took 5.0, 3.3 and 6.3 us per
-# trial at 64, 256 and 1024 trials per block.
+# slow: at d=15, p=1e-4 sampling, syndrome keys and the lazy rule took 4.0,
+# 1.6-1.9 and 1.3-1.4 us per trial at 64, 256 and 1024 trials per block.  A
+# circuit-level block draws from one stream, so changing BLOCK changes every
+# circuit-level result of a seed.
 BLOCK = 256
 
 _WORKER_CTX = None
@@ -129,15 +133,17 @@ def _build_layout(kind: CodeKind | str, d: int) -> CodeLayout:
 def _fault_block(graph: DecodingGraph, sampler: FaultSampler, seed: int, lo: int, hi: int):
     """Circuit-level faults over the window's noisy rounds for trials
     ``lo .. hi-1``, ``lo`` a multiple of ``BLOCK``: the whole block is sampled
-    from the stream ``(seed, lo // BLOCK)`` and truncated.  Returns a
-    (syndrome, logical-flip mask) pair per trial."""
-    syndromes, obs = graph.block_syndromes(sampler.sample_block(make_rng(seed, lo // BLOCK), BLOCK))
-    return list(zip(syndromes[: hi - lo], obs))
+    from the stream ``(seed, lo // BLOCK)`` and truncated.  Returns the
+    defect keys and logical-flip masks of ``DecodingGraph.block_syndromes``."""
+    keys, obs = graph.block_syndromes(sampler.sample_block(make_rng(seed, lo // BLOCK), BLOCK))
+    n = hi - lo
+    return keys[: np.searchsorted(keys, n * graph.int_view.n_v)], obs[:n]
 
 
 def _p_fail_block(payload, seed, lo, hi) -> list[bool]:
     graph, sampler = payload
-    return [not lazy_decode(graph, s).success for s, _ in _fault_block(graph, sampler, seed, lo, hi)]
+    keys, _ = _fault_block(graph, sampler, seed, lo, hi)
+    return (lazy_block(graph, keys, hi - lo).failure != 0).tolist()
 
 
 def estimate_p_fail(
@@ -166,41 +172,67 @@ def estimate_p_fail(
 # --- logical error rates -------------------------------------------------------
 
 
-def _edge_errors(graph: DecodingGraph, probs: np.ndarray, rng) -> tuple[Syndrome, int]:
+def _edge_hits(probs: np.ndarray, rng) -> np.ndarray:
     """Perfect-measurement errors: each graph edge, one data qubit, flips
-    independently with its probability.  Returns the syndrome and the
-    logical-flip mask."""
-    hits = np.flatnonzero(rng.random(probs.size) < probs).tolist()
+    independently with its probability.  Returns the flipped edge ids."""
+    return np.flatnonzero(rng.random(probs.size) < probs)
+
+
+def _edge_errors(graph: DecodingGraph, probs: np.ndarray, rng) -> tuple[Syndrome, int]:
+    """One trial's errors as its syndrome and logical-flip mask."""
+    hits = _edge_hits(probs, rng).tolist()
     return Syndrome(graph.correction_syndrome(hits)), graph.obs_of_edges(hits)
 
 
+def _edge_probs(graph: DecodingGraph) -> np.ndarray:
+    return np.array([graph.edge(eid).probability for eid in range(graph.n_edges)])
+
+
 def _edge_sampler(graph: DecodingGraph):
-    probs = np.array([graph.edge(eid).probability for eid in range(graph.n_edges)])
-    return partial(_edge_errors, graph, probs)
+    return partial(_edge_errors, graph, _edge_probs(graph))
 
 
-def _edge_block(sample, seed: int, lo: int, hi: int):
+def _edge_block(graph: DecodingGraph, probs: np.ndarray, seed: int, lo: int, hi: int):
     """Perfect-measurement errors of trials ``lo .. hi-1``, trial ``i`` from
-    its own stream ``trial_rng(seed, i)``."""
-    return [sample(trial_rng(seed, i)) for i in range(lo, hi)]
+    its own stream ``trial_rng(seed, i)``, as the defect keys and
+    logical-flip masks of ``DecodingGraph.edge_syndromes``."""
+    hits = [_edge_hits(probs, trial_rng(seed, i)) for i in range(lo, hi)]
+    trial = np.repeat(np.arange(hi - lo), [h.size for h in hits])
+    return graph.edge_syndromes(trial, np.concatenate(hits), hi - lo)
+
+
+_LAZY_KINDS = (DecoderKind.LAZY, DecoderKind.LAZY_UNION_FIND, DecoderKind.LAZY_MWPM)
 
 
 def _logical_block(payload, seed, lo, hi) -> list[bool]:
+    """Per-trial logical failures of trials ``lo .. hi-1``.  The lazy
+    configurations run the lazy rule on the whole block; only its failures,
+    and every trial of the other decoders, are decoded one by one."""
     graph, sample, kind = payload
-    return [_logical_verdict(graph, kind, *error) for error in sample(seed, lo, hi)]
+    keys, obs = sample(seed, lo, hi)
+    n = hi - lo
+    if kind not in _LAZY_KINDS:
+        return [_logical_verdict(graph, kind, s, error_obs)
+                for s, error_obs in zip(graph.key_syndromes(keys, range(n)), obs.tolist())]
+    out = lazy_block(graph, keys, n)
+    ok = out.failure == 0
+    fixed, fixed_obs = graph.edge_syndromes(out.trial, out.edge, n)
+    if not np.array_equal(fixed, keys[ok[keys // graph.int_view.n_v]]):
+        raise ValueError("correction does not reproduce the syndrome")
+    # a failure of the pre-decoder alone counts as a logical failure
+    verdicts = ((obs ^ fixed_obs) != 0) | ~ok
+    if kind is not DecoderKind.LAZY:
+        failed = np.flatnonzero(~ok).tolist()
+        for i, syndrome in zip(failed, graph.key_syndromes(keys, failed)):
+            verdicts[i] = _logical_verdict(graph, kind, syndrome, int(obs[i]))
+    return verdicts.tolist()
 
 
 def _logical_verdict(graph: DecodingGraph, kind: DecoderKind, syndrome: Syndrome,
                      error_obs: int) -> bool:
     """Decode one window's syndrome and compare the logical-flip masks of
     error and correction."""
-    if kind is DecoderKind.LAZY:
-        outcome = lazy_decode(graph, syndrome)
-        if not outcome.success:
-            return True   # the pre-decoder alone gave up: count as failure
-        correction = outcome.correction
-    else:
-        correction = decode(graph, syndrome, kind).correction
+    correction = decode(graph, syndrome, kind).correction
     if graph.correction_syndrome(correction) != syndrome.defects:
         raise ValueError("correction does not reproduce the syndrome")
     return (error_obs ^ graph.obs_of_edges(correction)) != 0
@@ -234,7 +266,7 @@ def estimate_logical_error(
         kind = layout_kind or CodeKind.TORIC_2D
         layout = _build_layout(kind, d)
         graph = build_perfect_graph(layout, NoiseParams(p, mode), CheckBasis.X)
-        sample = partial(_edge_block, _edge_sampler(graph))
+        sample = partial(_edge_block, graph, _edge_probs(graph))
     else:
         kind = layout_kind or CodeKind.ROTATED_SURFACE
         layout = _build_layout(kind, d)

@@ -21,6 +21,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -81,6 +82,24 @@ class MatchingIndex(NamedTuple):
     bstep: list[tuple[int, int]]                    # (next id or -1, eid) toward it
 
 
+class IntView(NamedTuple):
+    """Integer view of a graph for the block kernels.  Vertex ``(check,
+    round)`` has id ``round * n_checks + check``, so ids sort as (round,
+    check); edge ids are the graph's."""
+
+    n_v: int                    # rounds * n_checks
+    start: np.ndarray           # (n_v + 1,) CSR offsets into ``nbr`` and ``nbr_edge``
+    nbr: np.ndarray             # the larger end of each edge at its smaller end;
+                                # parallel edges kept
+    nbr_edge: np.ndarray        # the edge id of that entry
+    half: np.ndarray            # (n_v,) half-edge id, or -1
+    ends: np.ndarray            # (n_edges, 2) endpoint ids; -1 as a half-edge's second end
+    obs: np.ndarray             # (n_edges,) logical-flip mask, ``_NO_OBS`` for ``obs=None``
+
+
+_NO_OBS = -1
+
+
 class _FaultTable(NamedTuple):
     """Flat fault map: row ``location * width + choice`` lists at most two
     detectors, each as the vertex id ``dt * n_checks + check`` relative to the
@@ -89,10 +108,18 @@ class _FaultTable(NamedTuple):
     width: int
     offset: np.ndarray          # (rows, 2)
     obs: np.ndarray             # (rows,) logical-flip mask
-    vertex: list[Vertex]        # vertex of id ``round * n_checks + check``
 
 
 _ABSENT = 1 << 40
+
+
+def _odd_keys(key: np.ndarray) -> np.ndarray:
+    """The sorted keys that occur an odd number of times in ``key``."""
+    key = np.sort(key)
+    bound = np.ones(key.size + 1, dtype=bool)   # where a run of equal keys starts or ends
+    np.not_equal(key[1:], key[:-1], out=bound[1:-1])
+    start = np.flatnonzero(bound)
+    return key[start[:-1][(start[1:] - start[:-1]) & 1 == 1]]
 
 
 class DefectClasses(NamedTuple):
@@ -157,6 +184,7 @@ class DecodingGraph:
         # lazy decoding ran about 7% slower with it.
         self._matching_index: MatchingIndex | None = None
         self._fault_table: _FaultTable | None = None
+        self._int_view: IntView | None = None
 
     # --- basic accessors ---------------------------------------------------
 
@@ -223,6 +251,32 @@ class DecodingGraph:
         self._matching_index = MatchingIndex(vid, tuple(map(tuple, adj)), bdist, bstep)
         return self._matching_index
 
+    @property
+    def int_view(self) -> IntView:
+        """Built on first use, so graph construction does not pay for it."""
+        if self._int_view is not None:
+            return self._int_view
+        n_c, n_e = self.n_checks, len(self.edges)
+        n_v = self.rounds * n_c
+        all_edges = self.edges + self.half_edges
+
+        def ids(vertices, n):   # (check, round) pairs, flattened, to vertex ids
+            qt = np.fromiter(chain.from_iterable(vertices), np.int64, 2 * n).reshape(-1, 2)
+            return qt[:, 1] * n_c + qt[:, 0]
+
+        ends = np.full((len(all_edges), 2), -1, dtype=np.int64)
+        ends[:, 0] = ids((e.u for e in all_edges), len(all_edges))
+        ends[:n_e, 1] = ids((e.v for e in self.edges), n_e)
+        lo, hi = np.sort(ends[:n_e], axis=1).T
+        order = np.argsort(lo, kind="stable")
+        start = np.searchsorted(lo[order], np.arange(n_v + 1))
+        half = np.full(n_v, -1, dtype=np.int64)
+        half[ends[n_e:, 0]] = np.arange(n_e, len(all_edges))
+        obs = np.fromiter((_NO_OBS if e.obs is None else e.obs for e in all_edges), np.int64,
+                          len(all_edges))
+        self._int_view = IntView(n_v, start, hi[order], order, half, ends, obs)
+        return self._int_view
+
     # --- fault mapping -----------------------------------------------------
 
     def fault_vertices(self, event: FaultEvent) -> tuple[Vertex, ...]:
@@ -233,10 +287,11 @@ class DecodingGraph:
     def syndrome_of_faults(self, events: Iterable[FaultEvent]) -> Syndrome:
         """Defect set of one trial's fault list: a one-trial view of
         ``block_syndromes``."""
-        return self.block_syndromes(self._event_block(events))[0][0]
+        return self.key_syndromes(self.block_syndromes(self._event_block(events))[0], [0])[0]
 
-    def block_syndromes(self, faults: FaultBlock) -> tuple[list[Syndrome], list[int]]:
-        """Per trial of a fault block, its defect set and logical-flip mask.
+    def block_syndromes(self, faults: FaultBlock) -> tuple[np.ndarray, np.ndarray]:
+        """The defects of a fault block as sorted int64 keys ``trial * n_v +
+        vertex id`` (see ``IntView``), and per trial its logical-flip mask.
 
         Every fault places its template's detectors at its round; those
         outside the window are clipped, and a vertex is a defect when an odd
@@ -250,18 +305,36 @@ class DecodingGraph:
         # window's rounds are one range of ids
         vid = (faults.round * self.n_checks)[:, None] + table.offset[row]
         keep = (vid >= int(self.drop_initial) * self.n_checks) & (vid < n_v)
-        key = np.sort((faults.trial[:, None] * n_v + vid)[keep])
-        bound = np.ones(key.size + 1, dtype=bool)   # where a run of equal keys starts or ends
-        np.not_equal(key[1:], key[:-1], out=bound[1:-1])
-        start = np.flatnonzero(bound)
-        key = key[start[:-1][(start[1:] - start[:-1]) & 1 == 1]]   # odd runs
-        cut = np.searchsorted(key, np.arange(faults.trials + 1) * n_v).tolist()
-        vertex = table.vertex
-        defects = [vertex[v] for v in (key % n_v).tolist()]
-        syndromes = [Syndrome(frozenset(defects[a:b])) for a, b in zip(cut, cut[1:])]
         obs = np.zeros(faults.trials, dtype=np.int64)
         np.bitwise_xor.at(obs, faults.trial, table.obs[row])
-        return syndromes, obs.tolist()
+        return _odd_keys((faults.trial[:, None] * n_v + vid)[keep]), obs
+
+    def edge_syndromes(
+        self, trial: np.ndarray, edge: np.ndarray, trials: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``block_syndromes`` for per-trial edge sets, given as parallel
+        (trial, edge id) arrays: the keys of the vertices an odd number of a
+        trial's edges touch, and the XOR of their logical-flip masks."""
+        view = self.int_view
+        ends = view.ends[edge]
+        key = (trial[:, None] * view.n_v + ends)[ends >= 0]
+        masks = view.obs[edge]
+        if (masks == _NO_OBS).any():
+            raise ValueError("edge has inconsistent logical bookkeeping")
+        obs = np.zeros(trials, dtype=np.int64)
+        np.bitwise_xor.at(obs, trial, masks)
+        return _odd_keys(key), obs
+
+    def key_syndromes(self, keys: np.ndarray, trials: Iterable[int]) -> list[Syndrome]:
+        """The defect sets of the given trials of a block's sorted keys."""
+        n_c, n_v = self.n_checks, self.rounds * self.n_checks
+        first = np.asarray(trials, dtype=np.int64) * n_v
+        cut = np.searchsorted(keys, np.stack([first, first + n_v], axis=1))
+        out = []
+        for a, b in cut.tolist():
+            vid = keys[a:b] % n_v
+            out.append(Syndrome(frozenset(zip((vid % n_c).tolist(), (vid // n_c).tolist()))))
+        return out
 
     def _event_block(self, events: Iterable[FaultEvent]) -> FaultBlock:
         """A fault list as a one-trial block; rejects faults off the census."""
@@ -283,8 +356,7 @@ class DecodingGraph:
             for slot, (q, dt) in enumerate(pattern):
                 offset[j * width + c, slot] = dt * self.n_checks + q
             obs[j * width + c] = self._template_obs[j, c]
-        vertex = [(q, t) for t in range(self.rounds) for q in range(self.n_checks)]
-        self._fault_table = _FaultTable(width, offset, obs, vertex)
+        self._fault_table = _FaultTable(width, offset, obs)
         return self._fault_table
 
     def correction_syndrome(self, edge_ids: Iterable[int]) -> frozenset[Vertex]:
@@ -297,7 +369,7 @@ class DecodingGraph:
     def obs_of_faults(self, events: Iterable[FaultEvent]) -> int:
         """Logical-flip bitmask of a fault list (XOR of per-fault flips): a
         one-trial view of ``block_syndromes``."""
-        return self.block_syndromes(self._event_block(events))[1][0]
+        return int(self.block_syndromes(self._event_block(events))[1][0])
 
     def obs_of_edges(self, edge_ids: Iterable[int]) -> int:
         mask = 0

@@ -10,7 +10,8 @@ choice, is a failure.  On success the correction is cardinality-minimal.
 
 Batch and streaming forms share it, one rule; the stream settles each round
 once the next one arrives, and degrades to passing raw syndrome data through
-once a failure is detected.
+once a failure is detected.  ``lazy_block`` runs the same rule on a whole
+block of trials as int arrays, for the Monte Carlo campaigns.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import enum
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import AbstractSet, Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .graph import DecodingGraph, Syndrome, Vertex
 
@@ -101,6 +104,91 @@ def lazy_decode(graph: DecodingGraph, syndrome: Syndrome) -> LazyOutcome:
     if failure is not None:
         return LazyOutcome(None, failure, n_amb)
     return LazyOutcome(frozenset(matched), None, n_amb)
+
+
+# ``LazyBlock.failure`` codes
+BLOCK_FAILURES = (None, LazyFailure.RESIDUAL_SYNDROME, LazyFailure.TOO_MANY_AMBIGUOUS)
+
+
+class LazyBlock(NamedTuple):
+    """Per-trial outcomes of ``lazy_block``, and the corrections of its
+    successful trials as parallel (trial, edge id) arrays."""
+
+    failure: np.ndarray        # index into BLOCK_FAILURES; 0 is success
+    ambiguous_count: np.ndarray
+    trial: np.ndarray
+    edge: np.ndarray
+
+
+def lazy_block(graph: DecodingGraph, keys: np.ndarray, trials: int) -> LazyBlock:
+    """The lazy rule on ``trials`` trials at once, each with the outcome
+    ``lazy_decode`` gives it.
+
+    ``keys`` are the block's defects as sorted int64 keys ``trial * n_v +
+    round * n_checks + check`` (see ``DecodingGraph.block_syndromes``), so a
+    trial's defects are one run, in (round, check) order.  Pass 1, greedy
+    matching in edge-id order, is the lexicographically first maximal
+    matching of the defect-defect edges; it is built in rounds, each taking
+    every live edge whose id is the smallest at both its endpoints.  Pass 2
+    takes the leftovers in key order, and a running count per trial finds
+    its first defect without a half-edge or its second ambiguous choice.
+    """
+    view = graph.int_view
+    n_v = view.n_v
+    failure = np.zeros(trials, dtype=np.int8)
+    ambiguous = np.zeros(trials, dtype=np.int64)
+    trial_of = keys // n_v
+    vid = keys - trial_of * n_v
+
+    # The edges whose smaller end is a defect, and whether the larger end is
+    # a defect of the same trial: then the edge joins defects a <= b.
+    lo = view.start[vid]
+    deg = view.start[vid + 1] - lo
+    at = np.repeat(np.arange(keys.size), deg)
+    slot = np.arange(at.size) + np.repeat(lo - (np.cumsum(deg) - deg), deg)
+    other = keys[at] + (view.nbr[slot] - vid[at])
+    present = np.zeros(trials * n_v, dtype=bool)
+    present[keys] = True
+    hit = np.flatnonzero(present[other])
+    a, b, eid = at[hit], np.searchsorted(keys, other[hit]), view.nbr_edge[slot[hit]]
+    touches_defect = np.zeros(keys.size, dtype=bool)
+    touches_defect[a] = touches_defect[b] = True
+
+    matched = np.zeros(keys.size, dtype=bool)
+    taken_at, taken = [keys[:0]], [keys[:0]]   # per round, the ends a and ids of its edges
+    low = np.empty(keys.size, dtype=np.int64)
+    while eid.size:
+        low[a] = low[b] = view.nbr_edge.size
+        np.minimum.at(low, a, eid)
+        np.minimum.at(low, b, eid)
+        win = (low[a] == eid) & (low[b] == eid)
+        taken_at.append(a[win])
+        taken.append(eid[win])
+        matched[a[win]] = matched[b[win]] = True
+        live = ~(matched[a] | matched[b])
+        a, b, eid = a[live], b[live], eid[live]
+
+    left = np.flatnonzero(~matched)
+    left_trial = trial_of[left]
+    half = view.half[vid[left]]
+    no_half = half < 0
+    # A choice is ambiguous when the defect has a defect neighbour; it is
+    # counted only once the half-edge exists, as in the scalar rule.
+    amb = touches_defect[left] & ~no_half
+    run = np.cumsum(amb)
+    run -= (run - amb)[np.searchsorted(left_trial, left_trial)]   # per trial, this one included
+    stop = np.flatnonzero(no_half | (run > 1))
+    first = np.ones(stop.size, dtype=bool)
+    np.not_equal(left_trial[stop[1:]], left_trial[stop[:-1]], out=first[1:])
+    stop = stop[first]
+    np.add.at(ambiguous, left_trial, amb)
+    ambiguous[left_trial[stop]] = run[stop]
+    failure[left_trial[stop]] = np.where(no_half[stop], 1, 2)
+
+    trial = np.concatenate([trial_of[np.concatenate(taken_at)], left_trial])
+    edge = np.concatenate(taken + [half])
+    keep = failure[trial] == 0
+    return LazyBlock(failure, ambiguous, trial[keep], edge[keep])
 
 
 @dataclass

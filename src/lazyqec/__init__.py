@@ -34,7 +34,6 @@ from .graph import (
     build_perfect_graph,
     classify_defects,
     difference_syndrome,
-    faults_to_syndrome,
     is_logical_failure,
     make_graph,
     simulate_window,

@@ -10,9 +10,12 @@ Two interchangeable fallback decoders operate on the same decoding graph:
   bounded Dijkstra per defect finds only the pairs with ``D_ij < b_i + b_j``;
   any other pair can be replaced by two boundary matches at no extra cost.
   The kept pairs split the defects into components, matched one by one: a
-  lone defect goes to the boundary, two defects pair up, and larger
-  components run networkx blossom with boundary mirrors joined only along
-  kept pairs.  The complete defect graph is never built.
+  lone defect goes to the boundary, and two defects pair up.  A larger
+  component runs an exact subset DP, which matches the lowest unmatched
+  defect to the boundary or to a kept partner, when a bound on the DP's state
+  count, computed from the kept pairs, is at most ``_DP_STATES``.  Above it,
+  networkx blossom runs with boundary mirrors joined only along kept pairs.
+  The complete defect graph is never built.
 
 ``hierarchical_decode`` tries the lazy pre-decoder first and only hands the
 syndrome to the fallback when the pre-decoder reports failure.
@@ -215,7 +218,7 @@ def mwpm_matching_weight(graph: DecodingGraph, syndrome: Syndrome) -> float:
     return _mwpm(graph, syndrome)[1]
 
 
-def _near_pairs(adj, bdist, ids: list[int], b: list[float]):
+def _near_pairs(adj, ids: list[int], b: list[float]):
     """Every defect pair with ``D_ij < b_i + b_j``, as ``(i, j, D_ij)`` with
     ``i < j``, and the predecessor map of each defect's search.
 
@@ -256,12 +259,15 @@ def _near_pairs(adj, bdist, ids: list[int], b: list[float]):
                 while later[top] in settled:
                     top += 1
                 bound = bi + b[later[top]]
-            for u, w, eid in adj[v]:
-                nd = d + w
-                if nd < bi + bdist[u] and nd < dist[u]:
-                    dist[u] = nd
-                    pred[u] = (v, eid)
-                    heappush(heap, (nd, u))
+            # push u only at nd = d + w < bi + bdist[u], i.e. d - bi < slack
+            room = d - bi
+            for u, w, eid, slack in adj[v]:
+                if room < slack:
+                    nd = d + w
+                    if nd < dist[u]:
+                        dist[u] = nd
+                        pred[u] = (v, eid)
+                        heappush(heap, (nd, u))
         preds.append(pred)
     return pairs, preds
 
@@ -290,6 +296,81 @@ def _components(n: int, pairs: list[tuple[int, int, float]]):
     for pair in pairs:
         comp_pairs[label[pair[0]]].append(pair)
     return zip(members, comp_pairs)
+
+
+# A component goes to the subset DP when the DP's bound on its state count is
+# at most _DP_STATES, and to blossom above it.  A complete component of k
+# defects has a bound of 2**(k-1), so up to 11 defects run the DP.  Per
+# component on a shared 2-vCPU machine: toric d=20 complete components take
+# 80 us in the DP against 134 us in networkx at k=10, but 216 against 165 us
+# at k=12.  Sparse closed-window components (rotated d=9, p=1e-3) of up to 20
+# defects mostly stay under the bound, where the DP is 2.5-20x faster.
+_DP_STATES = 1024
+
+
+def _subset_dp(comp: list[int], pairs, b: list[float]):
+    """Exact matching of one component, or ``None`` when its state bound
+    exceeds ``_DP_STATES``.  A state is the set of unmatched defects.  Its
+    lowest defect either goes to the boundary (when ``b_i`` is finite) or
+    pairs with a kept partner above it.  States are expanded in order of their
+    lowest defect, and each keeps its cheapest way in.  Returns defect ->
+    partner (-1: boundary); raises when the component has no perfect
+    matching."""
+    comp = sorted(comp)
+    k = len(comp)
+    local = {g: x for x, g in enumerate(comp)}
+    # (partner bit, partner, cost) per defect; bit 0 and partner -1: the boundary
+    moves = [[(0, -1, b[g])] if b[g] < math.inf else [] for g in comp]
+    first = list(range(k))          # each defect's lowest kept partner, or itself
+    for i, j, d in pairs:
+        x, y = local[i], local[j]
+        moves[x].append((1 << y, y, d))
+        if x < first[y]:
+            first[y] = x
+    # With x the lowest unmatched defect, the matched ones above it are those
+    # paired below it: at most 2**width states have x lowest.
+    delta = [0] * (k + 1)
+    for y, x in enumerate(first):
+        if x < y:
+            delta[x + 1] += 1
+            delta[y] -= 1
+    width = bound = 0
+    for x in range(k):
+        width += delta[x]
+        bound += 1 << width
+    if bound > _DP_STATES:
+        return None
+
+    full = (1 << k) - 1
+    # layers[x]: states whose lowest unmatched defect is x, as mask -> (cost,
+    # previous mask, partner); the empty state sits in layers[k] == layers[-1]
+    layers: list[dict[int, tuple[float, int, int]]] = [{} for _ in range(k + 1)]
+    layers[0][full] = (0.0, 0, 0)
+    for x in range(k):
+        bit = 1 << x
+        for mask, (cost, _, _) in layers[x].items():
+            rest = mask ^ bit
+            for ybit, y, d in moves[x]:
+                if rest & ybit == ybit:
+                    nxt = rest ^ ybit
+                    c = cost + d
+                    layer = layers[(nxt & -nxt).bit_length() - 1]
+                    old = layer.get(nxt)
+                    if old is None or c < old[0]:
+                        layer[nxt] = (c, mask, y)
+    if 0 not in layers[k]:
+        raise ValueError(_UNMATCHABLE)
+    mate: dict[int, int] = {}
+    _, mask, y = layers[k][0]
+    while True:
+        x = (mask & -mask).bit_length() - 1
+        if y < 0:
+            mate[comp[x]] = -1
+        else:
+            mate[comp[x]], mate[comp[y]] = comp[y], comp[x]
+        if mask == full:
+            return mate
+        _, mask, y = layers[x][mask]
 
 
 def _blossom(n: int, comp: list[int], pairs, b: list[float], has_boundary: bool):
@@ -332,7 +413,7 @@ def _mwpm(graph: DecodingGraph, syndrome: Syndrome) -> tuple[frozenset[int], flo
         raise ValueError(_UNMATCHABLE) from None
     b = [bdist[v] for v in ids]
 
-    pairs, preds = _near_pairs(adj, bdist, ids, b)
+    pairs, preds = _near_pairs(adj, ids, b)
     mate: dict[int, int] = {}
     for comp, comp_pairs in _components(n, pairs):
         if len(comp) == 1:
@@ -342,8 +423,9 @@ def _mwpm(graph: DecodingGraph, syndrome: Syndrome) -> tuple[frozenset[int], flo
         elif len(comp) == 2:
             i, j, _ = comp_pairs[0]
             mate[i], mate[j] = j, i
-        else:
-            mate.update(_blossom(n, comp, comp_pairs, b, has_boundary))
+        else:   # the DP gives None above its state bound
+            mate.update(_subset_dp(comp, comp_pairs, b)
+                        or _blossom(n, comp, comp_pairs, b, has_boundary))
     if len(mate) < n:
         raise ValueError(_UNMATCHABLE)
 

@@ -77,7 +77,9 @@ class MatchingIndex(NamedTuple):
     """Integer view of a graph for shortest-path searches."""
 
     vid: dict[Vertex, int]                          # ids follow sorted vertex order
-    adj: tuple[tuple[tuple[int, float, int], ...], ...]  # (neighbour, weight, eid)
+    # (neighbour, weight, eid, slack): slack is the neighbour's boundary
+    # distance minus the weight, the room a search's bound leaves through it
+    adj: tuple[tuple[tuple[int, float, int, float], ...], ...]
     bdist: list[float]                              # distance to the boundary
     bstep: list[tuple[int, int]]                    # (next id or -1, eid) toward it
 
@@ -215,7 +217,8 @@ class DecodingGraph:
         and one Dijkstra from a virtual boundary node, seeded through
         ``half_edge_id``, gives every vertex its boundary distance and the
         next edge of a shortest path to the boundary (``inf`` and ``(-1, -1)``
-        where no half-edge is reachable)."""
+        where no half-edge is reachable).  Each adjacency entry also carries
+        ``bdist[neighbour] - weight``."""
         if self._matching_index is not None:
             return self._matching_index
         verts = sorted({v for e in self.edges for v in (e.u, e.v)} | self.half_edge_id.keys())
@@ -248,7 +251,8 @@ class DecodingGraph:
                     bdist[b] = d + w
                     bstep[b] = (a, eid)
                     heapq.heappush(heap, (d + w, b))
-        self._matching_index = MatchingIndex(vid, tuple(map(tuple, adj)), bdist, bstep)
+        adj = tuple(tuple((b, w, eid, bdist[b] - w) for b, w, eid in nbrs) for nbrs in adj)
+        self._matching_index = MatchingIndex(vid, adj, bdist, bstep)
         return self._matching_index
 
     @property
@@ -549,11 +553,6 @@ def difference_syndrome(raw: np.ndarray, initial_round_zero: bool = True) -> Syn
         sbar[0] = 0
     ts, qs = np.nonzero(sbar)
     return Syndrome(frozenset((int(q), int(t)) for t, q in zip(ts, qs)))
-
-
-def faults_to_syndrome(graph: DecodingGraph, faults: Iterable[FaultEvent]) -> Syndrome:
-    """Defect set of a fault list via the graph's fault map (incidence XOR)."""
-    return graph.syndrome_of_faults(faults)
 
 
 def classify_defects(graph: DecodingGraph, syndrome: Syndrome) -> DefectClasses:

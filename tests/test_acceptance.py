@@ -32,7 +32,6 @@ from lazyqec.graph import (
     build_decoding_graph,
     build_perfect_graph,
     difference_syndrome,
-    faults_to_syndrome,
     simulate_window,
 )
 from lazyqec.lazy import lazy_decode
@@ -138,7 +137,7 @@ def _round_trip_block(payload, seed, lo, hi):
     for i in range(lo, hi):
         faults = sample_faults(sch, 5, noise, seed=0, rng=trial_rng(seed, i))
         raw, _, _ = simulate_window(lay, sch, 5, faults)
-        mismatches.append(faults_to_syndrome(graph, faults) != difference_syndrome(raw[CheckBasis.X]))
+        mismatches.append(graph.syndrome_of_faults(faults) != difference_syndrome(raw[CheckBasis.X]))
     return mismatches
 
 

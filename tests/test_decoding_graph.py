@@ -16,7 +16,6 @@ from lazyqec.graph import (
     build_perfect_graph,
     classify_defects,
     difference_syndrome,
-    faults_to_syndrome,
     is_logical_failure,
     make_graph,
     simulate_window,
@@ -130,7 +129,7 @@ def test_round_trip_consistency_small():
         faults = sample_faults(sch, 5, noise, seed=0, rng=trial_rng(99, trial))
         raw, _, _ = simulate_window(lay, sch, 5, faults)
         direct = difference_syndrome(raw[CheckBasis.X])
-        assert faults_to_syndrome(g, faults) == direct
+        assert g.syndrome_of_faults(faults) == direct
 
 
 def test_bulk_slice_translation_invariance(d3):

@@ -9,11 +9,13 @@ import heapq
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import networkx as nx
 import pytest
 
+from lazyqec import decoders
 from lazyqec.code_model import (
     CheckBasis,
     build_rotated_surface_code,
@@ -28,7 +30,7 @@ from lazyqec.graph import (
     build_perfect_graph,
     make_graph,
 )
-from lazyqec.noise import NoiseMode, NoiseParams
+from lazyqec.noise import FaultSampler, NoiseMode, NoiseParams, make_rng
 
 
 def _dijkstra(graph, source):
@@ -198,10 +200,11 @@ def _weighted_graph(edge_ps, half_ps):
     )
 
 
-def test_parallel_and_zero_weight_edges_match_reference():
-    rng = random.Random(5)
+def _random_weighted_graphs(rng, count):
+    """Random graphs with parallel and zero-weight (p=0.5) edges, each with
+    30 random defect sets."""
     probabilities = (0.5, 0.5, 0.3, 0.1, 0.01, 0.001)
-    for _ in range(30):
+    for _ in range(count):
         n_v = rng.randint(4, 14)
         edge_ps = []
         for _ in range(rng.randint(n_v, 3 * n_v)):
@@ -214,9 +217,14 @@ def test_parallel_and_zero_weight_edges_match_reference():
                    for q in range(n_v) if rng.random() < 0.3]
         graph = _weighted_graph(edge_ps, half_ps)
         verts = sorted({v for uv, _ in edge_ps for v in uv})
-        for _ in range(30):
-            chosen = rng.sample(verts, rng.randint(1, len(verts)))
-            _assert_matches_reference(graph, Syndrome(frozenset(chosen)))
+        yield graph, [Syndrome(frozenset(rng.sample(verts, rng.randint(1, len(verts)))))
+                      for _ in range(30)]
+
+
+def test_parallel_and_zero_weight_edges_match_reference():
+    for graph, syndromes in _random_weighted_graphs(random.Random(5), 30):
+        for syndrome in syndromes:
+            _assert_matches_reference(graph, syndrome)
 
 
 def test_all_zero_weight_graph():
@@ -256,3 +264,98 @@ def test_odd_component_without_boundary_raises():
     # the even part of the first graph still decodes
     s = Syndrome(frozenset({(0, 0), (2, 0), (3, 0)}))
     assert graph.correction_syndrome(mwpm_decode(graph, s)) == s.defects
+
+
+# --- the subset DP against networkx blossom, component by component ---------
+
+# Large enough for the DP to run on components far above the production gate
+# (a complete component of up to 19 defects) and small enough to stay fast.
+_FORCED_DP_STATES = 1 << 18
+
+
+def _weight(mate, pairs, b):
+    d = {(i, j): w for i, j, w in pairs}
+    return sum(b[i] if j < 0 else d[j, i] for i, j in mate.items() if j < i)
+
+
+def _assert_components_agree(graph, syndrome, sides, monkeypatch):
+    """Every component of three or more defects gets a matching of equal total
+    weight from the subset DP and from blossom, or neither matches it.  Counts
+    the compared components by the side of the gate they fall on."""
+    vid, adj, bdist, _ = graph.matching_index
+    ids = sorted(vid[v] for v in syndrome.defects)
+    b = [bdist[v] for v in ids]
+    pairs, _ = decoders._near_pairs(adj, ids, b)
+    kept = {(i, j) for i, j, _ in pairs}
+    for comp, comp_pairs in decoders._components(len(ids), pairs):
+        if len(comp) < 3:
+            continue
+        mate = decoders._blossom(len(ids), comp, comp_pairs, b, bool(graph.half_edge_id))
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(decoders, "_DP_STATES", _FORCED_DP_STATES)
+                dp = decoders._subset_dp(comp, comp_pairs, b)
+        except ValueError as err:
+            assert "could not be perfectly matched" in str(err) and len(mate) < len(comp)
+            sides["unmatchable"] += 1
+            continue
+        if dp is None:
+            continue
+        assert sorted(mate) == sorted(dp) == sorted(comp)
+        for i, j in dp.items():
+            assert (b[i] < math.inf) if j < 0 else (dp[j] == i and (min(i, j), max(i, j)) in kept)
+        assert _weight(dp, comp_pairs, b) == pytest.approx(_weight(mate, comp_pairs, b),
+                                                           rel=1e-9, abs=1e-12)
+        sides["dp" if decoders._subset_dp(comp, comp_pairs, b) else "blossom"] += 1
+
+
+def _circuit_syndromes(d, p, trials, seed):
+    """A closed window and its sampled syndromes with three or more defects."""
+    lay = build_rotated_surface_code(d)
+    graph = build_decoding_graph(
+        lay, build_schedule(lay), d + 1, NoiseParams(p), CheckBasis.X,
+        drop_initial=False, noisy_rounds=d,
+    )
+    sampler = FaultSampler(graph.census, graph.noisy_rounds, p)
+    keys, _ = graph.block_syndromes(sampler.sample_block(make_rng(seed, 0), trials))
+    return graph, [s for s in graph.key_syndromes(keys, range(trials)) if len(s) > 2]
+
+
+def _toric_syndromes(d, seed):
+    """Complete components: even defect sets, and odd ones that cannot match."""
+    graph = build_perfect_graph(
+        build_toric_code(d), NoiseParams(1e-3, NoiseMode.PERFECT_MEASUREMENT)
+    )
+    rng = random.Random(seed)
+    verts = sorted(graph.matching_index.vid)
+    syndromes = []
+    for k in range(120):
+        n = 2 * rng.randint(2, 9) - (k % 4 == 3)
+        syndromes.append(Syndrome(frozenset(rng.sample(verts, n))))
+    return graph, syndromes
+
+
+@pytest.mark.parametrize(
+    "case, sides_seen",
+    [(lambda: _circuit_syndromes(5, 3e-3, 600, 11), {"dp"}),
+     (lambda: _circuit_syndromes(9, 3e-3, 40, 12), {"dp", "blossom"}),
+     (lambda: _toric_syndromes(6, 13), {"dp", "blossom", "unmatchable"}),
+     (lambda: _toric_syndromes(20, 14), {"dp", "blossom", "unmatchable"})],
+    ids=["closed_d5", "closed_d9", "toric_d6", "toric_d20"],
+)
+def test_subset_dp_equals_blossom_per_component(case, sides_seen, monkeypatch):
+    graph, syndromes = case()
+    sides = Counter()
+    for syndrome in syndromes:
+        _assert_components_agree(graph, syndrome, sides, monkeypatch)
+        _assert_matches_reference(graph, syndrome)
+    assert set(sides) == sides_seen
+
+
+def test_subset_dp_equals_blossom_on_ties(monkeypatch):
+    sides = Counter()
+    for graph, syndromes in _random_weighted_graphs(random.Random(6), 30):
+        for syndrome in syndromes:
+            _assert_components_agree(graph, syndrome, sides, monkeypatch)
+            _assert_matches_reference(graph, syndrome)
+    assert set(sides) == {"dp", "blossom", "unmatchable"}

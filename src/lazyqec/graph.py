@@ -8,6 +8,13 @@ or a half-edge.  Faults sharing a detection pattern are merged with the
 XOR-aware rule ``p_e = (1 - prod_i (1 - 2 p_i)) / 2`` and carry weight
 ``w_e = ln((1 - p_e) / p_e)``.
 
+The builder works in one array pass over (location, choice) rows, the
+detector error model of the round: it takes each row's detectors and
+logical mask, emits them as the flat fault table the block syndrome kernel
+reads, merges rows by pattern, places the patterns in every noisy round and
+merges the placements by vertex set.  Each product multiplies its factors in
+the order of a fault-by-fault merge, so probabilities are bit-identical to it.
+
 The same machinery yields the 2D graph of the perfect-measurement mode, where
 edges are simply data qubits joining the one or two checks that see them.
 """
@@ -19,7 +26,7 @@ import heapq
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from typing import Iterable, NamedTuple
@@ -105,11 +112,15 @@ _NO_OBS = -1
 class _FaultTable(NamedTuple):
     """Flat fault map: row ``location * width + choice`` lists at most two
     detectors, each as the vertex id ``dt * n_checks + check`` relative to the
-    fault's round; an absent one holds ``_ABSENT``, past every window."""
+    fault's round; an absent one holds ``_ABSENT``, past every window.  A row
+    off the census (a choice past its location's) has ``_NO_OBS`` as mask."""
 
     width: int
     offset: np.ndarray          # (rows, 2)
     obs: np.ndarray             # (rows,) logical-flip mask
+
+
+_NO_FAULTS = _FaultTable(0, np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64))
 
 
 _ABSENT = 1 << 40
@@ -140,8 +151,7 @@ class DecodingGraph:
         rounds: int,
         edges: list[Edge],
         half_edges: list[Edge],
-        template: dict[tuple[int, int], tuple[tuple[int, int], ...]] | None = None,
-        template_obs: dict[tuple[int, int], int] | None = None,
+        fault_table: _FaultTable = _NO_FAULTS,
         census: tuple[FaultLocation, ...] | None = None,
         drop_initial: bool = True,
         noisy_rounds: int | None = None,
@@ -157,8 +167,7 @@ class DecodingGraph:
         self.n_checks = len(centers)
         self.edges = tuple(edges)
         self.half_edges = tuple(half_edges)
-        self._template = template or {}
-        self._template_obs = template_obs or {}
+        self._fault_table = fault_table
         self.census = census
         self.drop_initial = drop_initial
         self.noisy_rounds = rounds if noisy_rounds is None else noisy_rounds
@@ -185,7 +194,6 @@ class DecodingGraph:
         # added after __init__ slows every attribute read on the graph, and
         # lazy decoding ran about 7% slower with it.
         self._matching_index: MatchingIndex | None = None
-        self._fault_table: _FaultTable | None = None
         self._int_view: IntView | None = None
 
     # --- basic accessors ---------------------------------------------------
@@ -302,7 +310,7 @@ class DecodingGraph:
         number of its trial's faults place it.  The block's entries must
         come from this graph's census, as ``FaultSampler`` draws them.
         """
-        table = self._fault_table or self._build_fault_table()
+        table = self._fault_table
         n_v = self.rounds * self.n_checks
         row = faults.location * table.width + faults.choice
         # vertex id round * n_checks + check: with 0 <= check < n_checks, the
@@ -342,26 +350,15 @@ class DecodingGraph:
 
     def _event_block(self, events: Iterable[FaultEvent]) -> FaultBlock:
         """A fault list as a one-trial block; rejects faults off the census."""
-        rows = []
+        table, rows = self._fault_table, []
         for t, loc, choice in events:
-            if (loc.index, choice) not in self._template:
+            row = loc.index * table.width + choice
+            if not (0 <= choice < table.width and 0 <= row < table.obs.size) \
+                    or table.obs[row] == _NO_OBS:
                 raise ValueError(f"unknown fault location {loc}")
             rows.append((t, loc.index, choice))
         t, loc, choice = np.array(rows, dtype=np.int64).reshape(-1, 3).T
         return FaultBlock(1, np.zeros(t.size, dtype=np.int64), t, loc, choice)
-
-    def _build_fault_table(self) -> _FaultTable:
-        """Built on first use from the template dicts."""
-        width = max((c for _, c in self._template), default=-1) + 1
-        rows = (max((j for j, _ in self._template), default=-1) + 1) * width
-        offset = np.full((rows, 2), _ABSENT, dtype=np.int64)
-        obs = np.zeros(rows, dtype=np.int64)
-        for (j, c), pattern in self._template.items():
-            for slot, (q, dt) in enumerate(pattern):
-                offset[j * width + c, slot] = dt * self.n_checks + q
-            obs[j * width + c] = self._template_obs[j, c]
-        self._fault_table = _FaultTable(width, offset, obs)
-        return self._fault_table
 
     def correction_syndrome(self, edge_ids: Iterable[int]) -> frozenset[Vertex]:
         acc: set[Vertex] = set()
@@ -611,24 +608,47 @@ class _EdgeAcc:
         return (1.0 - self.pi) / 2.0
 
 
-def _carriers(sector: int) -> dict[LocationKind, tuple[tuple[int, ...], ...]]:
-    """Per location kind and choice, the positions in ``loc.qubits`` whose
-    Pauli has a generator in ``sector``; a measurement flip has one, its own."""
-    table = {}
-    for kind in LocationKind:
-        probe = FaultLocation(0, kind, 0, (0, 1) if kind is LocationKind.CNOT else (0,))
-        table[kind] = tuple(
-            tuple(i for i, *xz in fault_pauli_bits(probe, choice) if xz[sector])
-            for choice in range(probe.n_choices)
-        )
-    table[LocationKind.MEAS] = ((0,),)
-    return table
+def _kind_table(sector: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per location kind, in ``LocationKind`` order: for each choice the
+    bitmask of the positions in ``loc.qubits`` whose Pauli has a generator in
+    ``sector`` (-1 past the kind's choices; a measurement flip has one
+    generator, its own), and ``1 - 2 p_choice``, the factor a choice adds to
+    the XOR rule's product."""
+    probes = [FaultLocation(0, kind, 0, (0, 1) if kind is LocationKind.CNOT else (0,))
+              for kind in LocationKind]
+    masks = np.full((len(probes), max(loc.n_choices for loc in probes)), -1, dtype=np.int64)
+    for k, loc in enumerate(probes):
+        for choice in range(loc.n_choices):
+            masks[k, choice] = sum(1 << i for i, *xz in fault_pauli_bits(loc, choice) if xz[sector])
+        if loc.kind is LocationKind.MEAS:
+            masks[k, 0] = 1
+    factor = np.array([1.0 - 2.0 * (loc.fault_probability(p) / loc.n_choices) for loc in probes])
+    return masks, factor
+
+
+def _ordered_products(group: np.ndarray, factor: np.ndarray, n_groups: int) -> np.ndarray:
+    """Per group, the product of its ``factor`` entries, multiplied one at a
+    time in array order as the scalar XOR rule does (``np.multiply.reduceat``
+    promises no order).  Groups hold at most a few dozen entries."""
+    order = np.argsort(group, kind="stable")
+    size = np.bincount(group, minlength=n_groups)
+    start = np.cumsum(size) - size
+    pi = np.ones(n_groups)
+    for k in range(int(size.max(initial=0))):
+        g = np.flatnonzero(size > k)
+        pi[g] *= factor[order[start[g] + k]]
+    return pi
+
+
+_KINDS = ("space", "time", "diagonal", "boundary", "time_boundary")
 
 
 @contextmanager
 def _collector_paused():
-    """The build allocates some 10^5 acyclic objects; the cyclic collections
-    they set off find nothing and took a third of a d=15 build."""
+    """The build still allocates some 10^4 objects (edges, neighbour lists,
+    edge keys); the cyclic collections they set off find nothing.  A d=15
+    ``reproduce_table`` call took 40 ms with the collector paused, against
+    41 ms with it on, and 46 ms with it on and a second graph alive."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -687,112 +707,157 @@ def build_decoding_graph(
     # Difference-syndrome flips of each generator in this basis, with
     # s(-1) = 0, and its logical-flip mask from the final frame.  X checks
     # see only the Z frame (sector 1), Z checks only the X frame (sector 0).
-    # A detector is keyed ``check * mini + dt``, so keys sort as (check, dt);
-    # the templates share one (check, dt) tuple per key.
+    # A detector is keyed ``check * mini + dt``, so keys sort as (check, dt).
     sector = 1 if basis is CheckBasis.X else 0
     checks = layout.checks(basis)
+    n_c, n_key = len(checks), len(checks) * mini
     raw = record[:, [p.index for p in checks]].transpose(1, 0, 2)
-    det_of_key = [(q, dt) for q in range(len(checks)) for dt in range(mini)]
     diff = raw.copy()
     diff[:, 1:] ^= raw[:, :-1]
-    detectors: dict[int, list[int]] = {}
-    for key, col in zip(*(a.tolist() for a in _set_bits(diff.reshape(raw.shape[0] * mini, -1)))):
-        detectors.setdefault(col, []).append(key)
+    det, col = _set_bits(diff.reshape(n_key, -1))
+    by_col = np.argsort(col, kind="stable")
+    det, col = det[by_col], col[by_col]
     parity = np.array([np.bitwise_xor.reduce(frame[sector, sorted(rep)]) for rep in logicals])
     parity = np.unpackbits(parity.astype("<u8").view(np.uint8), axis=1, bitorder="little")
-    gen_obs = (parity.T.astype(np.int64) << np.arange(len(logicals))).sum(axis=1).tolist()
+    gen_obs = (parity.T.astype(np.int64) << np.arange(len(logicals))).sum(axis=1)
     del inject, frame, record, raw, diff   # before the templates grow: peak memory
 
-    # Per-round fault templates in this basis, pre-merged by detection pattern.
-    # A choice's pattern and logical flip depend only on which of the site's
-    # qubits carry a generator of this sector, so each carrier set is
-    # computed once; every choice still adds its own probability, in order.
-    carriers = _carriers(sector)
-    template: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    template_obs: dict[tuple[int, int], int] = {}
-    merged: dict[tuple[tuple[int, int], ...], _EdgeAcc] = {}
-    for loc in census:
-        p_choice = loc.fault_probability(noise.p) / loc.n_choices
-        cols = [loc.step * n_q + q for q in loc.qubits]
-        seen: dict[tuple[int, ...], tuple] = {}
-        for choice, carried in enumerate(carriers[loc.kind]):
-            if carried not in seen:
-                flips, obs = set(), 0
-                for i in carried:
-                    flips.symmetric_difference_update(detectors.get(cols[i], ()))
-                    obs ^= gen_obs[cols[i]]
-                pattern = tuple(det_of_key[key] for key in sorted(flips))
-                if len(pattern) > 2:
-                    raise ScheduleError(
-                        f"fault {loc.kind.value}@step{loc.step} qubits {loc.qubits} "
-                        f"triggers {len(pattern)} detectors of basis {basis.value}"
-                    )
-                if any(dt > 2 for _, dt in pattern):
-                    raise ScheduleError("fault pattern did not settle within two rounds")
-                seen[carried] = (pattern, obs, merged.setdefault(pattern, _EdgeAcc()))
-            pattern, obs, acc = seen[carried]
-            template[loc.index, choice] = pattern
-            template_obs[loc.index, choice] = obs
-            acc.add(p_choice, obs)
-    del detectors, gen_obs
+    # Fault templates.  A choice's detectors and logical flip depend only on
+    # which of its site's qubits carry a generator of this sector (its
+    # carrier set), so they are taken once per used (location, carrier set)
+    # combination: the detectors its carriers' columns flip an odd number of
+    # times, and the XOR of their masks.  Rows (location, choice) run in
+    # census then choice order, as ``location * width + choice``.
+    kind_id = {kind: k for k, kind in enumerate(LocationKind)}
+    # per location: its kind, and the generator columns of its first and last qubit
+    site = np.array([(kind_id[loc.kind], loc.step * n_q + loc.qubits[0],
+                      loc.step * n_q + loc.qubits[-1]) for loc in census],
+                    dtype=np.int64).reshape(-1, 3)
+    masks, factor = _kind_table(sector, noise.p)
+    width = masks.shape[1]
+    row_mask = masks[site[:, 0]].ravel()
+    row = np.flatnonzero(row_mask >= 0)
+    loc_of = row // width
+    combos, combo = np.unique(loc_of * 4 + row_mask[row], return_inverse=True)
+    j, m = combos >> 2, combos & 3
+    part = [np.flatnonzero(m & 1), np.flatnonzero(m & 2)]   # carriers at positions 0, 1
+    owner = np.concatenate(part)
+    gen = np.concatenate([site[j[part[0]], 1], site[j[part[1]], 2]])
+    lo = np.searchsorted(col, gen)
+    n = np.searchsorted(col, gen, "right") - lo
+    taken = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())   # each column's entries
+    odd = _odd_keys(np.repeat(owner, n) * n_key + det[taken])
+    odd_owner, key = odd // n_key, odd % n_key
+    n_det = np.bincount(odd_owner, minlength=combos.size)
+    late = np.bincount(odd_owner[key % mini > 2], minlength=combos.size)
+    bad = (n_det > 2) | (late > 0)
+    if bad.any():
+        first_bad = np.flatnonzero(bad[combo])[0]
+        loc = census[loc_of[first_bad]]
+        what = combo[first_bad]
+        effect = (f"triggers {n_det[what]} detectors of basis {basis.value}" if n_det[what] > 2
+                  else f"did not settle within two rounds in basis {basis.value}")
+        raise ScheduleError(f"fault {loc.kind.value}@step{loc.step} qubits {loc.qubits} {effect}")
+    first_key = np.searchsorted(odd_owner, np.arange(combos.size))
+    key = np.append(key, [-1, -1])
+    pair = np.stack([np.where(n_det > 0, key[first_key], -1),       # a combination's detectors,
+                     np.where(n_det > 1, key[first_key + 1], -1)], axis=1)   # sorted; -1 if absent
+    c_obs = np.where(m & 1, gen_obs[site[j, 1]], 0) ^ np.where(m & 2, gen_obs[site[j, 2]], 0)
 
-    # Place the templates in every noisy round, clipping at window boundaries.
-    # A pattern lists its detectors in (check, dt) order, so its clipped,
-    # translated vertices are already a sorted edge key; vertices are shared.
+    offset = np.full((len(census) * width, 2), _ABSENT, dtype=np.int64)
+    offset[row] = np.where(pair >= 0, pair % mini * n_c + pair // mini, _ABSENT)[combo]
+    row_obs = c_obs[combo]
+    table_obs = np.full(len(census) * width, _NO_OBS, dtype=np.int64)
+    table_obs[row] = row_obs
+
+    # Merge rows by detection pattern, patterns numbered in order of first
+    # appearance.  Each pattern's product takes its rows in order; the empty
+    # pattern's probability is never used, so it skips the product.
+    pcode = (pair[:, 0] + 1) * (n_key + 1) + pair[:, 1] + 1
+    _, first_row, inverse = np.unique(pcode[combo], return_index=True, return_inverse=True)
+    by_first = np.argsort(first_row)
+    pid = np.empty_like(by_first)
+    pid[by_first] = np.arange(by_first.size)
+    row_pid = pid[inverse]
+    n_pat, first_row = by_first.size, first_row[by_first]
+    pk = pair[combo[first_row]]   # each pattern's detectors
+    pat_obs = row_obs[first_row]
+    pat_conflict = np.zeros(n_pat, dtype=bool)
+    pat_conflict[row_pid[row_obs != pat_obs[row_pid]]] = True
+    visible = pk[row_pid, 0] >= 0
+    pi = _ordered_products(row_pid[visible], factor[site[loc_of[visible], 0]], n_pat)
+    pat_factor = 1.0 - 2.0 * ((1.0 - pi) / 2.0)   # as the scalar rule adds p_pattern
+
+    # Place the patterns in every noisy round, round-major then in pattern
+    # order, clipping at the window boundaries.  A vertex is coded
+    # ``check * rounds + round``, so codes sort as (check, round) tuples and
+    # a pattern's kept vertices stay in order: the first is the edge's u.
     first = int(drop_initial)
-    vertex = [[(q, t) for t in range(rounds)] for q in range(len(checks))]
-    placed = [(pattern, acc.probability, acc.obs or 0, acc.conflict, len(pattern) == 1)
-              for pattern, acc in merged.items()]
-    acc_by_key: dict[tuple, _EdgeAcc] = {}
-    invisible_obs = 0
-    for t in range(noisy):
-        for pattern, p, obs, conflict, spatial in placed:
-            key = tuple([vertex[q][t + dt] for q, dt in pattern if first <= t + dt < rounds])
-            if not key:
-                invisible_obs += obs != 0
-                continue
-            acc = acc_by_key.get(key)
-            if acc is None:
-                acc = acc_by_key[key] = _EdgeAcc()
-            acc.add(p, obs)
-            if conflict:
-                acc.conflict = True
-            if spatial and len(key) == 1:
-                acc.has_spatial_half = True
+    t = np.arange(noisy)[:, None]
 
-    edges, half_edges, conflicts = [], [], 0
-    for key, acc in acc_by_key.items():
-        p_e = acc.probability
-        if acc.conflict:
-            # Merged faults disagree on the logical flip (e.g. a boundary
-            # half-edge reachable from either side).  The edge keeps the
-            # parity of its representative fault; a disagreeing fault then
-            # correctly shows up as a logical failure of the window.
-            conflicts += 1
-        obs = acc.obs
-        if len(key) == 2:
-            u, v = key
-            edges.append(Edge(u, v, p_e, _weight(p_e), _edge_kind(u, v), obs))
-        else:
-            kind = "boundary" if acc.has_spatial_half else "time_boundary"
-            half_edges.append(Edge(key[0], None, p_e, _weight(p_e), kind, obs))
+    def place(k):
+        r = t + k % mini
+        return np.where((k >= 0) & (r >= first) & (r < rounds), k // mini * rounds + r, -1).ravel()
 
-    centers = [p.center for p in checks]
-    graph = DecodingGraph(
+    a, b = place(pk[:, 0]), place(pk[:, 1])
+    u, v = np.where(a >= 0, a, b), np.where(a >= 0, b, -1)
+    pat = np.tile(np.arange(n_pat), noisy)
+    seen = u >= 0
+    invisible_obs = int(np.count_nonzero(pat_obs[pat[~seen]]))
+    n_v = n_c * rounds
+    u, v, pat = u[seen], v[seen], pat[seen]
+    ends, first_place, edge = np.unique(u * (n_v + 1) + v + 1, return_index=True, return_inverse=True)
+    pi = _ordered_products(edge, pat_factor[pat], ends.size)
+    prob = (1.0 - pi) / 2.0
+    # Merged faults may disagree on the logical flip (e.g. a boundary
+    # half-edge reachable from either side).  The edge keeps the parity of
+    # its representative fault; a disagreeing fault then correctly shows up
+    # as a logical failure of the window.
+    obs = pat_obs[pat[first_place]]
+    conflict = np.zeros(ends.size, dtype=bool)
+    conflict[edge[pat_conflict[pat] | (pat_obs[pat] != obs[edge])]] = True
+    spatial = np.zeros(ends.size, dtype=bool)   # a half-edge of a one-detector pattern
+    spatial[edge[(v < 0) & (pk[pat, 1] < 0)]] = True
+
+    # Canonical scan order: (round, y, x) of the smaller endpoint, then
+    # direction class (space before time before diagonal), then the other
+    # endpoint; edges before half-edges.
+    u, v = ends // (n_v + 1), ends % (n_v + 1) - 1
+    half = v < 0
+    kind = np.where(half, np.where(spatial, 3, 4),
+                    np.where(u // rounds == v // rounds, 1, np.where(u % rounds == v % rounds, 0, 2)))
+    yx = np.empty(n_c, dtype=np.int64)
+    yx[np.lexsort(np.array([p.center for p in checks]).T)] = np.arange(n_c)
+    su, sv = u % rounds * n_c + yx[u // rounds], v % rounds * n_c + yx[v // rounds]
+    rank = np.array([_KIND_RANK[k] for k in _KINDS])[kind]
+    order = np.lexsort((np.where(half, -1, np.maximum(su, sv)), rank,
+                        np.where(half, su, np.minimum(su, sv)), half))
+    vertex = [(q, r) for q in range(n_c) for r in range(rounds)]
+    vertex.append(None)   # code -1, a half-edge's missing end
+    prob = prob[order].tolist()
+    every = list(map(
+        Edge,
+        map(vertex.__getitem__, u[order].tolist()),
+        map(vertex.__getitem__, v[order].tolist()),
+        prob,
+        map(_weight, prob),
+        map(_KINDS.__getitem__, kind[order].tolist()),
+        obs[order].tolist(),
+    ))
+    n_full = ends.size - int(np.count_nonzero(half))
+    return DecodingGraph(
         layout,
         basis,
         rounds,
-        _sort_canonical(edges, centers),
-        _sort_canonical(half_edges, centers),
-        template=template,
-        template_obs=template_obs,
+        every[:n_full],
+        every[n_full:],
+        fault_table=_FaultTable(width, offset, table_obs),
         census=census,
         drop_initial=drop_initial,
         noisy_rounds=noisy,
-        obs_conflicts=conflicts,
+        obs_conflicts=int(np.count_nonzero(conflict)),
         invisible_obs_faults=invisible_obs,
     )
-    return graph
 
 
 def make_graph(

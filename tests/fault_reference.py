@@ -3,18 +3,32 @@ block syndrome kernel.
 
 These are the scalar loops the package used before it sampled and built
 syndromes a block of trials at a time: geometric gaps taken one by one over
-the flat hit index, and a syndrome toggled vertex by vertex from the graph's
-template dict.  The sampler loop runs over the flat (trial, round, location)
-index of ``trials`` consecutive trials; with ``trials=1`` it is the old
-one-trial sampler, draw for draw.
+the flat hit index, and a syndrome toggled vertex by vertex from per-fault
+templates.  The templates come from the sparse reference propagator in
+``frame_reference``, not from the graph under test.  The sampler loop runs
+over the flat (trial, round, location) index of ``trials`` consecutive
+trials; with ``trials=1`` it is the old one-trial sampler, draw for draw.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
+from frame_reference import reference_templates
+from lazyqec.code_model import CheckBasis, CodeLayout, build_schedule
 from lazyqec.graph import DecodingGraph, Syndrome, Vertex
 from lazyqec.noise import FaultEvent, FaultLocation, LocationKind
+
+_TEMPLATES: dict = {}
+
+
+def templates(layout: CodeLayout, basis: CheckBasis):
+    """``reference_templates`` of a code's standard schedule, computed once
+    per (code, distance, basis)."""
+    key = (layout.kind, layout.distance, basis)
+    if key not in _TEMPLATES:
+        _TEMPLATES[key] = reference_templates(layout, build_schedule(layout), basis)
+    return _TEMPLATES[key]
 
 
 def reference_sample(
@@ -48,7 +62,8 @@ def reference_sample(
 
 def reference_syndrome(graph: DecodingGraph, events: Iterable[FaultEvent]) -> Syndrome:
     acc: set[Vertex] = set()
-    template, first, rounds = graph._template, int(graph.drop_initial), graph.rounds
+    template = templates(graph.layout, graph.basis)[0]
+    first, rounds = int(graph.drop_initial), graph.rounds
     for t, loc, choice in events:
         try:
             pattern = template[loc.index, choice]
@@ -66,7 +81,7 @@ def reference_syndrome(graph: DecodingGraph, events: Iterable[FaultEvent]) -> Sy
 
 def reference_obs(graph: DecodingGraph, events: Iterable[FaultEvent]) -> int:
     """Logical-flip bitmask of a fault list (XOR of per-fault flips)."""
-    mask, template_obs = 0, graph._template_obs
+    mask, template_obs = 0, templates(graph.layout, graph.basis)[1]
     for _, loc, choice in events:
         mask ^= template_obs[loc.index, choice]
     return mask

@@ -176,8 +176,10 @@ def reference_edges(
     *,
     drop_initial: bool = True,
     noisy_rounds: int | None = None,
+    templates: tuple[dict, dict] | None = None,
 ):
-    """Edges of the decoding graph, rebuilt from ``reference_templates``.
+    """Edges of the decoding graph, rebuilt from ``reference_templates`` (or
+    from ``templates``, their value when already at hand).
 
     Every fault choice is merged on its own into its detection pattern, in
     census and choice order, with ``prod (1 - 2 p_i)``; the merged patterns
@@ -186,7 +188,7 @@ def reference_edges(
     obs_conflicts, invisible_obs_faults)``, each edge a tuple ``(u, v,
     probability, weight, kind, obs)``, in the canonical scan order.
     """
-    template, template_obs = reference_templates(layout, schedule, basis)
+    template, template_obs = templates or reference_templates(layout, schedule, basis)
     merged: dict[tuple, list] = {}   # pattern -> [prod (1 - 2 p_i), obs, conflict]
     for loc in round_census(schedule):
         p_choice = loc.fault_probability(p) / loc.n_choices

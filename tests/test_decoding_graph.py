@@ -6,11 +6,19 @@ import pytest
 
 from lazyqec.code_model import (
     CheckBasis,
+    CircuitSchedule,
+    Cnot,
+    MeasureAncilla,
+    PrepAncilla,
+    Wait,
     build_rotated_surface_code,
     build_schedule,
     build_toric_code,
 )
 from lazyqec.graph import (
+    _ABSENT,
+    _NO_OBS,
+    ScheduleError,
     Syndrome,
     build_decoding_graph,
     build_perfect_graph,
@@ -79,9 +87,58 @@ def test_measurement_flip_is_vertical_edge(d3):
 
 
 def test_data_fault_patterns_have_at_most_two_detectors(d3):
-    _, _, g = d3
-    for pattern in g._template.values():
-        assert len(pattern) <= 2
+    """Every census fault has a row of at most two detectors in the fault
+    table, each within the two rounds after the fault's own."""
+    _, sch, g = d3
+    table = g._fault_table
+    rows = [loc.index * table.width + c for loc in round_census(sch) for c in range(loc.n_choices)]
+    assert table.offset.shape == (table.obs.size, 2)
+    assert (table.obs[rows] != _NO_OBS).all()
+    present = table.offset[rows] != _ABSENT
+    assert (table.offset[rows][present] < 3 * g.n_checks).all()
+    assert present.all(axis=1).any()
+
+
+def _z_ancillas(layout, n):
+    """(ancilla, plaquette index) of the first ``n`` Z checks."""
+    return [(layout.ancilla_id(p.index), p.index) for p in layout.checks(CheckBasis.Z)[:n]]
+
+
+def test_schedule_error_on_three_detectors():
+    """A data qubit copied onto three Z ancillas: its X fault flips three
+    Z detectors at once, and the builder names that location."""
+    lay = build_rotated_surface_code(3)
+    anc = _z_ancillas(lay, 3)
+    steps = (
+        tuple(PrepAncilla(a, CheckBasis.Z) for a, _ in anc) + (Wait(0),),
+        *((Cnot(0, a),) for a, _ in anc),
+        (),
+        tuple(MeasureAncilla(a, CheckBasis.Z, plq) for a, plq in anc),
+    )
+    sch = CircuitSchedule(lay, steps)
+    build_decoding_graph(lay, sch, 3, NoiseParams(1e-3), CheckBasis.X)   # no X check is read
+    with pytest.raises(ScheduleError, match=r"^fault wait@step0 qubits \(0,\) triggers 3 detectors"):
+        build_decoding_graph(lay, sch, 3, NoiseParams(1e-3), CheckBasis.Z)
+
+
+def test_schedule_error_on_late_detector():
+    """A shift register: an X fault on data qubit 0 moves to 1, 2 and then
+    the ancilla one hop per round, so the detectors it flips, two rounds
+    after the fault and the round after that, do not settle within two."""
+    lay = build_rotated_surface_code(3)
+    [(anc, plq)] = _z_ancillas(lay, 1)
+    prep = [PrepAncilla(q, CheckBasis.Z) for q in (0, 1, 2, anc)]
+    steps = (
+        (prep[0], prep[3]),
+        (Cnot(2, anc),),
+        (prep[2],),
+        (Cnot(1, 2),),
+        (prep[1],),
+        (Cnot(0, 1), MeasureAncilla(anc, CheckBasis.Z, plq)),
+    )
+    sch = CircuitSchedule(lay, steps)
+    with pytest.raises(ScheduleError, match=r"^fault prep@step0 qubits \(0,\) did not settle"):
+        build_decoding_graph(lay, sch, 3, NoiseParams(1e-3), CheckBasis.Z)
 
 
 def test_single_edge_fault_incidence(d3):

@@ -172,31 +172,17 @@ def estimate_p_fail(
 # --- logical error rates -------------------------------------------------------
 
 
-def _edge_hits(probs: np.ndarray, rng) -> np.ndarray:
-    """Perfect-measurement errors: each graph edge, one data qubit, flips
-    independently with its probability.  Returns the flipped edge ids."""
-    return np.flatnonzero(rng.random(probs.size) < probs)
-
-
-def _edge_errors(graph: DecodingGraph, probs: np.ndarray, rng) -> tuple[Syndrome, int]:
-    """One trial's errors as its syndrome and logical-flip mask."""
-    hits = _edge_hits(probs, rng).tolist()
-    return Syndrome(graph.correction_syndrome(hits)), graph.obs_of_edges(hits)
-
-
 def _edge_probs(graph: DecodingGraph) -> np.ndarray:
     return np.array([graph.edge(eid).probability for eid in range(graph.n_edges)])
 
 
-def _edge_sampler(graph: DecodingGraph):
-    return partial(_edge_errors, graph, _edge_probs(graph))
-
-
 def _edge_block(graph: DecodingGraph, probs: np.ndarray, seed: int, lo: int, hi: int):
-    """Perfect-measurement errors of trials ``lo .. hi-1``, trial ``i`` from
-    its own stream ``trial_rng(seed, i)``, as the defect keys and
-    logical-flip masks of ``DecodingGraph.edge_syndromes``."""
-    hits = [_edge_hits(probs, trial_rng(seed, i)) for i in range(lo, hi)]
+    """Perfect-measurement errors of trials ``lo .. hi-1``: each graph edge,
+    one data qubit, flips independently with its probability, trial ``i``
+    drawing one uniform number per edge from its own stream ``trial_rng(seed,
+    i)``.  Returns the defect keys and logical-flip masks of
+    ``DecodingGraph.edge_syndromes``."""
+    hits = [np.flatnonzero(trial_rng(seed, i).random(probs.size) < probs) for i in range(lo, hi)]
     trial = np.repeat(np.arange(hi - lo), [h.size for h in hits])
     return graph.edge_syndromes(trial, np.concatenate(hits), hi - lo)
 
@@ -298,8 +284,8 @@ def benchmark_runtime(
     on each syndrome, so drift in machine speed hits all kinds alike."""
     layout = _build_layout(layout_kind, d)
     graph = build_perfect_graph(layout, NoiseParams(p, NoiseMode.PERFECT_MEASUREMENT))
-    sample = _edge_sampler(graph)
-    syndromes = [sample(trial_rng(seed, i))[0] for i in range(trials)]
+    keys, _ = _edge_block(graph, _edge_probs(graph), seed, 0, trials)
+    syndromes = graph.key_syndromes(keys, range(trials))
 
     times = np.empty((len(decoder_kinds), trials))
     fallbacks = [0] * len(decoder_kinds)

@@ -1,6 +1,8 @@
 """Space-time decoding graphs built by symbolic fault propagation.
 
-Vertices are syndrome locations ``(check_index, round)`` for one check basis.
+Vertices are syndrome locations ``(check_index, round)`` for one check basis;
+the decoders read the graph through its integer view (``IntView``), where
+they are ids ``round * n_checks + check``.
 One bit-packed GF(2) frame kernel propagates the X and Z generator of every
 fault site; a fault's detection pattern in this basis (at most two flipped
 difference-syndrome locations), the XOR of its generators', becomes an edge
@@ -66,8 +68,7 @@ class Syndrome:
         return len(self.defects)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     u: Vertex
     v: Vertex | None           # None: half-edge to the boundary
     probability: float
@@ -81,9 +82,8 @@ class Edge:
 
 
 class MatchingIndex(NamedTuple):
-    """Integer view of a graph for shortest-path searches."""
+    """The integer view's shortest-path data, per vertex id (see ``IntView``)."""
 
-    vid: dict[Vertex, int]                          # ids follow sorted vertex order
     # (neighbour, weight, eid, slack): slack is the neighbour's boundary
     # distance minus the weight, the room a search's bound leaves through it
     adj: tuple[tuple[tuple[int, float, int, float], ...], ...]
@@ -92,9 +92,10 @@ class MatchingIndex(NamedTuple):
 
 
 class IntView(NamedTuple):
-    """Integer view of a graph for the block kernels.  Vertex ``(check,
-    round)`` has id ``round * n_checks + check``, so ids sort as (round,
-    check); edge ids are the graph's."""
+    """The graph as every decoder reads it.  Vertex ``(check, round)`` has id
+    ``round * n_checks + check``, so ids sort as (round, check); edge ids are
+    the graph's, and -1 stands for the boundary.  Numpy arrays serve the
+    block kernels, Python lists the one-syndrome decoders."""
 
     n_v: int                    # rounds * n_checks
     start: np.ndarray           # (n_v + 1,) CSR offsets into ``nbr`` and ``nbr_edge``
@@ -104,6 +105,9 @@ class IntView(NamedTuple):
     half: np.ndarray            # (n_v,) half-edge id, or -1
     ends: np.ndarray            # (n_edges, 2) endpoint ids; -1 as a half-edge's second end
     obs: np.ndarray             # (n_edges,) logical-flip mask, ``_NO_OBS`` for ``obs=None``
+    adj: list[list[tuple[int, int]]]    # per vertex, (neighbour, eid) in edge-id order
+    half_ids: list[int]                 # ``half`` as a list
+    edge_ends: list[list[int]]          # ``ends`` as a list
 
 
 _NO_OBS = -1
@@ -175,21 +179,12 @@ class DecodingGraph:
         self.invisible_obs_faults = invisible_obs_faults
 
         self._centers = centers
-        self.neighbors: dict[Vertex, list[tuple[Vertex, int]]] = {}
-        self.edge_id_by_key: dict[tuple, int] = {}
-        for eid, e in enumerate(self.edges):
-            u, v = e.u, e.v
-            self.neighbors.setdefault(u, []).append((v, eid))
-            self.neighbors.setdefault(v, []).append((u, eid))
-            self.edge_id_by_key[(u, v) if u <= v else (v, u)] = eid
         self.half_edge_id: dict[Vertex, int] = {}
         for i, e in enumerate(self.half_edges):
-            eid = len(self.edges) + i
             if e.u in self.half_edge_id:
                 # the decoders reach the boundary through one half-edge per vertex
                 raise ValueError(f"two half-edges at vertex {e.u}")
-            self.half_edge_id[e.u] = eid
-            self.edge_id_by_key[(e.u,)] = eid
+            self.half_edge_id[e.u] = len(self.edges) + i
         # Declared here, filled on first use: on CPython 3.11 an attribute
         # added after __init__ slows every attribute read on the graph, and
         # lazy decoding ran about 7% slower with it.
@@ -216,38 +211,55 @@ class DecodingGraph:
         x, y = self._centers[v[0]]
         return (x, y, v[1])
 
-    def neighbor_set(self, v: Vertex) -> set[Vertex]:
-        return {u for u, _ in self.neighbors.get(v, ())}
+    @property
+    def edge_id_by_key(self) -> dict[tuple, int]:
+        """Edge id by its sorted ends ``(u, v)``, or ``(u,)`` for a half-edge;
+        of parallel edges the last one is kept.  Built on each call."""
+        keys = {(e.u, e.v) if e.u <= e.v else (e.v, e.u): eid for eid, e in enumerate(self.edges)}
+        keys.update({(e.u,): len(self.edges) + i for i, e in enumerate(self.half_edges)})
+        return keys
+
+    def vertex_ids(self, vertices: Iterable[Vertex]) -> set[int]:
+        """The ids (see ``IntView``) of ``(check, round)`` vertices; raises for
+        a vertex outside the graph's checks and rounds."""
+        n_c, rounds = self.n_checks, self.rounds
+        ids = set()
+        for q, t in vertices:
+            if not (0 <= q < n_c and 0 <= t < rounds):
+                raise ValueError(f"syndrome vertex {(q, t)} outside the graph")
+            ids.add(t * n_c + q)
+        return ids
 
     @property
     def matching_index(self) -> MatchingIndex:
         """Built on first use: parallel edges collapse to their lightest one,
-        and one Dijkstra from a virtual boundary node, seeded through
-        ``half_edge_id``, gives every vertex its boundary distance and the
-        next edge of a shortest path to the boundary (``inf`` and ``(-1, -1)``
+        and one Dijkstra from a virtual boundary node, seeded through the
+        half-edges, gives every vertex its boundary distance and the next
+        edge of a shortest path to the boundary (``inf`` and ``(-1, -1)``
         where no half-edge is reachable).  Each adjacency entry also carries
         ``bdist[neighbour] - weight``."""
         if self._matching_index is not None:
             return self._matching_index
-        verts = sorted({v for e in self.edges for v in (e.u, e.v)} | self.half_edge_id.keys())
-        vid = {v: i for i, v in enumerate(verts)}
+        view, n_e = self.int_view, len(self.edges)
         lightest: dict[tuple[int, int], tuple[float, int]] = {}
-        for eid, e in enumerate(self.edges):
-            a, b = sorted((vid[e.u], vid[e.v]))
-            if (a, b) not in lightest or e.weight < lightest[a, b][0]:
-                lightest[a, b] = (e.weight, eid)
-        adj: list[list[tuple[int, float, int]]] = [[] for _ in verts]
+        for eid, (a, b) in enumerate(view.edge_ends[:n_e]):
+            w = self.edges[eid].weight
+            if a > b:
+                a, b = b, a
+            if (a, b) not in lightest or w < lightest[a, b][0]:
+                lightest[a, b] = (w, eid)
+        adj: list[list[tuple[int, float, int]]] = [[] for _ in range(view.n_v)]
         for (a, b), (w, eid) in lightest.items():
             adj[a].append((b, w, eid))
             adj[b].append((a, w, eid))
 
-        bdist = [math.inf] * len(verts)
-        bstep = [(-1, -1)] * len(verts)
+        bdist = [math.inf] * view.n_v
+        bstep = [(-1, -1)] * view.n_v
         heap = []
-        for v, heid in self.half_edge_id.items():
-            a = vid[v]
-            bdist[a] = self.half_edges[heid - len(self.edges)].weight
-            bstep[a] = (-1, heid)
+        for i, e in enumerate(self.half_edges):
+            a = view.edge_ends[n_e + i][0]
+            bdist[a] = e.weight
+            bstep[a] = (-1, n_e + i)
             heap.append((bdist[a], a))
         heapq.heapify(heap)
         while heap:
@@ -260,20 +272,25 @@ class DecodingGraph:
                     bstep[b] = (a, eid)
                     heapq.heappush(heap, (d + w, b))
         adj = tuple(tuple((b, w, eid, bdist[b] - w) for b, w, eid in nbrs) for nbrs in adj)
-        self._matching_index = MatchingIndex(vid, adj, bdist, bstep)
+        self._matching_index = MatchingIndex(adj, bdist, bstep)
         return self._matching_index
 
     @property
     def int_view(self) -> IntView:
-        """Built on first use, so graph construction does not pay for it."""
+        """Built on first use, so graph construction does not pay for it.
+        Raises for an edge end outside the graph's checks and rounds."""
         if self._int_view is not None:
             return self._int_view
-        n_c, n_e = self.n_checks, len(self.edges)
-        n_v = self.rounds * n_c
+        n_c, n_e, rounds = self.n_checks, len(self.edges), self.rounds
+        n_v = rounds * n_c
         all_edges = self.edges + self.half_edges
 
         def ids(vertices, n):   # (check, round) pairs, flattened, to vertex ids
             qt = np.fromiter(chain.from_iterable(vertices), np.int64, 2 * n).reshape(-1, 2)
+            bad = ((qt < 0) | (qt >= [n_c, rounds])).any(axis=1)
+            if bad.any():
+                q, t = qt[bad][0].tolist()
+                raise ValueError(f"edge vertex {(q, t)} outside {n_c} checks x {rounds} rounds")
             return qt[:, 1] * n_c + qt[:, 0]
 
         ends = np.full((len(all_edges), 2), -1, dtype=np.int64)
@@ -286,15 +303,17 @@ class DecodingGraph:
         half[ends[n_e:, 0]] = np.arange(n_e, len(all_edges))
         obs = np.fromiter((_NO_OBS if e.obs is None else e.obs for e in all_edges), np.int64,
                           len(all_edges))
-        self._int_view = IntView(n_v, start, hi[order], order, half, ends, obs)
+        edge_ends = ends.tolist()
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n_v)]
+        with _collector_paused():
+            for eid, (a, b) in enumerate(edge_ends[:n_e]):
+                adj[a].append((b, eid))
+                adj[b].append((a, eid))
+        self._int_view = IntView(n_v, start, hi[order], order, half, ends, obs,
+                                 adj, half.tolist(), edge_ends)
         return self._int_view
 
     # --- fault mapping -----------------------------------------------------
-
-    def fault_vertices(self, event: FaultEvent) -> tuple[Vertex, ...]:
-        """Defect pattern of a sampled fault, translated to its round and
-        clipped at the window boundaries."""
-        return tuple(sorted(self.syndrome_of_faults((event,)).defects))
 
     def syndrome_of_faults(self, events: Iterable[FaultEvent]) -> Syndrome:
         """Defect set of one trial's fault list: a one-trial view of
@@ -554,15 +573,18 @@ def difference_syndrome(raw: np.ndarray, initial_round_zero: bool = True) -> Syn
 
 def classify_defects(graph: DecodingGraph, syndrome: Syndrome) -> DefectClasses:
     """Split defects into bulk, boundary-adjacent and boundary-isolated sets."""
-    defects = syndrome.defects
-    boundary_adjacent = frozenset(v for v in defects if v in graph.half_edge_id)
-    boundary_isolated = frozenset(
-        v for v in boundary_adjacent if not (graph.neighbor_set(v) & defects)
-    )
+    ids, n_c, view = graph.vertex_ids(syndrome.defects), graph.n_checks, graph.int_view
+    adjacent = [v for v in ids if view.half_ids[v] >= 0]
+    isolated = [v for v in adjacent if all(u not in ids for u, _ in view.adj[v])]
+
+    def vertices(vs):
+        return frozenset((v % n_c, v // n_c) for v in vs)
+
+    boundary_adjacent = vertices(adjacent)
     return DefectClasses(
-        bulk=defects - boundary_adjacent,
+        bulk=syndrome.defects - boundary_adjacent,
         boundary_adjacent=boundary_adjacent,
-        boundary_isolated=boundary_isolated,
+        boundary_isolated=vertices(isolated),
     )
 
 
@@ -585,27 +607,6 @@ def is_logical_failure(
 
 
 # --- graph builders ---------------------------------------------------------
-
-
-class _EdgeAcc:
-    __slots__ = ("pi", "obs", "has_spatial_half", "conflict")
-
-    def __init__(self):
-        self.pi = 1.0          # prod (1 - 2 p_i) over contributing faults
-        self.obs = None
-        self.has_spatial_half = False
-        self.conflict = False
-
-    def add(self, p: float, obs: int):
-        self.pi *= 1.0 - 2.0 * p
-        if self.obs is None:
-            self.obs = obs
-        elif self.obs != obs:
-            self.conflict = True
-
-    @property
-    def probability(self) -> float:
-        return (1.0 - self.pi) / 2.0
 
 
 def _kind_table(sector: int, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -645,10 +646,11 @@ _KINDS = ("space", "time", "diagonal", "boundary", "time_boundary")
 
 @contextmanager
 def _collector_paused():
-    """The build still allocates some 10^4 objects (edges, neighbour lists,
-    edge keys); the cyclic collections they set off find nothing.  A d=15
-    ``reproduce_table`` call took 40 ms with the collector paused, against
-    41 ms with it on, and 46 ms with it on and a second graph alive."""
+    """The build and the integer view still allocate some 10^4 objects
+    (edges, adjacency lists); the cyclic collections they set off find
+    nothing.  A d=15 ``reproduce_table`` call took 40 ms with the collector
+    paused, against 41 ms with it on, and 46 ms with it on and a second
+    graph alive."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -865,17 +867,21 @@ def make_graph(
     half_vertices: Iterable[Vertex] = (),
     *,
     n_checks: int | None = None,
-    rounds: int = 1,
+    rounds: int | None = None,
     p: float = 0.01,
     centers: list[tuple[int, int]] | None = None,
 ) -> DecodingGraph:
     """Assemble a decoding graph from explicit edges, for small hand-built
-    instances.  Edges keep the given order as the canonical scan order."""
+    instances.  Edges keep the given order as the canonical scan order.
+    ``n_checks`` and ``rounds`` default to the smallest that hold every
+    vertex (one round for a graph without any)."""
     edge_pairs = list(edge_pairs)
     half_vertices = list(half_vertices)
     all_vs = {v for uv in edge_pairs for v in uv} | set(half_vertices)
     if n_checks is None:
         n_checks = max((v[0] for v in all_vs), default=-1) + 1
+    if rounds is None:
+        rounds = max((v[1] for v in all_vs), default=0) + 1
     if centers is None:
         centers = [(q, 0) for q in range(n_checks)]
     w = _weight(p)
@@ -919,12 +925,11 @@ def build_perfect_graph(
     # p exactly.
     edges, half_edges, conflicts = [], [], 0
     for seen_by, obs in masks.items():
-        p_e = p
-        if len(obs) > 1:
-            acc = _EdgeAcc()
-            for mask in obs:
-                acc.add(p, mask)
-            p_e, conflicts = acc.probability, conflicts + acc.conflict
+        pi = 1.0   # the XOR rule's product, one factor per qubit
+        for _ in obs:
+            pi *= 1.0 - 2.0 * p
+        p_e = p if len(obs) == 1 else (1.0 - pi) / 2.0
+        conflicts += any(mask != obs[0] for mask in obs)
         if len(seen_by) == 2:
             edges.append(Edge((seen_by[0], 0), (seen_by[1], 0), p_e, _weight(p_e), "space", obs[0]))
         else:

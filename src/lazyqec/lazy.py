@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import AbstractSet, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -44,43 +43,41 @@ class LazyOutcome(NamedTuple):
 
 
 _EMPTY_SUCCESS = LazyOutcome(frozenset(), None, 0)
-_ROUND_CHECK = itemgetter(1, 0)
 
 
 def _settle(
     graph: DecodingGraph,
-    front: AbstractSet[Vertex],
-    working: set[Vertex],
-    defects: AbstractSet[Vertex],
+    front: AbstractSet[int],
+    working: set[int],
+    defects: AbstractSet[int],
     n_amb: int,
 ) -> tuple[list[int], LazyFailure | None, int]:
-    """The lazy rule on the defects of ``front``; matched defects leave
-    ``working``.  Returns the edge ids taken, in order, the failure (None on
-    success) and the running ambiguous count."""
+    """The lazy rule on the defects of ``front``, as vertex ids (see
+    ``IntView``); matched defects leave ``working``.  Returns the edge ids
+    taken, in order, the failure (None on success) and the running ambiguous
+    count."""
     matched: list[int] = []
-    edges = graph.edges
-    neighbors = graph.neighbors
-    for eid in sorted(
-        {eid for v in front for u, eid in neighbors.get(v, ()) if u in working}
-    ):
-        e = edges[eid]
-        if e.u in working and e.v in working:
+    view = graph.int_view
+    adj, ends = view.adj, view.edge_ends
+    for eid in sorted({eid for v in front for u, eid in adj[v] if u in working}):
+        a, b = ends[eid]
+        if a in working and b in working:
             matched.append(eid)
-            working.discard(e.u)
-            working.discard(e.v)
+            working.discard(a)
+            working.discard(b)
     # Nothing left: spares pass 2's set-up, which costs a graph without
     # half-edges time on every success.
     if not working:
         return matched, None, n_amb
 
-    half = graph.half_edge_id
-    for v in sorted(front & working, key=_ROUND_CHECK):
-        heid = half.get(v)
-        if heid is None:
+    half = view.half_ids
+    for v in sorted(front & working):   # ids sort as (round, check)
+        heid = half[v]
+        if heid < 0:
             return matched, LazyFailure.RESIDUAL_SYNDROME, n_amb
         matched.append(heid)
         working.discard(v)
-        if graph.neighbor_set(v) & defects:
+        if any(u in defects for u, _ in adj[v]):
             n_amb += 1
             if n_amb > 1:
                 return matched, LazyFailure.TOO_MANY_AMBIGUOUS, n_amb
@@ -90,16 +87,20 @@ def _settle(
 def lazy_decode(graph: DecodingGraph, syndrome: Syndrome) -> LazyOutcome:
     """The lazy rule with every defect as the front.
 
-    The ambiguity test checks the defect's neighbors against the original
-    defect set, following the pseudocode literally.  A failure is the first
-    one met in (round, check) order, as the streaming form reports it.
+    The ambiguity test checks the vertices adjacent to the defect against
+    the original defect set, following the pseudocode literally.  A failure
+    is the first one met in (round, check) order, as the streaming form
+    reports it.
     """
-    defects = syndrome.defects
-    if not defects:
+    if not syndrome.defects:
         return _EMPTY_SUCCESS
-    for q, t in defects:
-        if not (0 <= q < graph.n_checks and 0 <= t < graph.rounds):
+    # ``graph.vertex_ids`` inline: the call cost 1-3% of a lazy decode of toric d=20 syndromes
+    n_c, rounds = graph.n_checks, graph.rounds
+    defects = set()
+    for q, t in syndrome.defects:
+        if not (0 <= q < n_c and 0 <= t < rounds):
             raise ValueError(f"syndrome vertex {(q, t)} outside the graph")
+        defects.add(t * n_c + q)
     matched, failure, n_amb = _settle(graph, defects, set(defects), defects, 0)
     if failure is not None:
         return LazyOutcome(None, failure, n_amb)
@@ -218,21 +219,22 @@ class LazyStreamDecoder:
         if any(abs(e.u[1] - e.v[1]) > 1 for e in graph.edges):
             raise ValueError("streaming needs every edge to join rounds at most one apart")
         self.graph = graph
-        self._defects: set[Vertex] = set()
-        self._working: set[Vertex] = set()
+        self._defects: set[int] = set()      # vertex ids (see ``IntView``)
+        self._working: set[int] = set()
         self._correction: set[int] = set()
         self._n_amb = 0
         self._failure: LazyFailure | None = None
         self._next_round = 0
 
-    def feed(self, round_defects: Iterable[Vertex]) -> StreamEmission:
+    def feed(self, round_defects: Iterable[int]) -> StreamEmission:
+        """Take the next round's defects as check indices."""
         t = self._next_round
+        defects = self.graph.vertex_ids((int(q), t) for q in round_defects)
         self._next_round += 1
-        defects = frozenset((int(q), t) for q in round_defects)
         self._defects |= defects
         self._working |= defects
         if self._failure is not None:
-            return StreamEmission(t, (), True, tuple(sorted(defects)))
+            return StreamEmission(t, (), True, self._vertices(defects))
         # Round t-1 is now final: no later edge can touch it.
         if t == 0:
             return StreamEmission(t, (), False)
@@ -252,18 +254,24 @@ class LazyStreamDecoder:
         return em
 
     def _finalize(self, t: int) -> StreamEmission:
-        front = frozenset(v for v in self._working if v[1] == t)
+        n_c = self.graph.n_checks
+        front = frozenset(v for v in self._working if v // n_c == t)
         matched, self._failure, self._n_amb = _settle(
             self.graph, front, self._working, self._defects, self._n_amb
         )
         self._correction.update(matched)
         if self._failure is not None:
-            return StreamEmission(t, tuple(matched), True, tuple(sorted(self._working)))
+            return StreamEmission(t, tuple(matched), True, self._vertices(self._working))
         return StreamEmission(t, tuple(matched), False)
+
+    def _vertices(self, ids: Iterable[int]) -> tuple[Vertex, ...]:
+        """Vertex ids as sorted ``(check, round)`` tuples."""
+        n_c = self.graph.n_checks
+        return tuple(sorted((v % n_c, v // n_c) for v in ids))
 
 
 def lazy_decode_stream(
-    graph: DecodingGraph, rounds: Iterable[Iterable[Vertex]]
+    graph: DecodingGraph, rounds: Iterable[Iterable[int]]
 ) -> Iterator[StreamEmission]:
     """Generator form of the streaming decoder: one emission per round, then a
     final emission whose ``outcome`` field holds the window's LazyOutcome."""

@@ -8,11 +8,17 @@ templates.  The templates come from the sparse reference propagator in
 ``frame_reference``, not from the graph under test.  The sampler loop runs
 over the flat (trial, round, location) index of ``trials`` consecutive
 trials; with ``trials=1`` it is the old one-trial sampler, draw for draw.
+
+``edge_sampler`` is the same for the perfect-measurement mode: one trial's
+edge flips from its own stream, turned into a syndrome edge by edge.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable
+
+import numpy as np
 
 from frame_reference import reference_templates
 from lazyqec.code_model import CheckBasis, CodeLayout, build_schedule
@@ -85,3 +91,16 @@ def reference_obs(graph: DecodingGraph, events: Iterable[FaultEvent]) -> int:
     for _, loc, choice in events:
         mask ^= template_obs[loc.index, choice]
     return mask
+
+
+def edge_errors(graph: DecodingGraph, probs: np.ndarray, rng) -> tuple[Syndrome, int]:
+    """One perfect-measurement trial: each edge flips with its probability;
+    returns the syndrome and logical-flip mask of the flipped edges."""
+    hits = np.flatnonzero(rng.random(probs.size) < probs).tolist()
+    return Syndrome(graph.correction_syndrome(hits)), graph.obs_of_edges(hits)
+
+
+def edge_sampler(graph: DecodingGraph):
+    """``edge_errors`` on ``graph``: call it with a trial's ``trial_rng``."""
+    probs = np.array([graph.edge(eid).probability for eid in range(graph.n_edges)])
+    return partial(edge_errors, graph, probs)

@@ -82,8 +82,8 @@ def test_measurement_flip_is_vertical_edge(d3):
         if plq.basis is not CheckBasis.X:
             continue
         ev = FaultEvent(2, loc, 0)
-        verts = g.fault_vertices(ev)
-        assert set(verts) == {(plq.basis_index, 2), (plq.basis_index, 3)}
+        verts = g.syndrome_of_faults([ev]).defects
+        assert verts == {(plq.basis_index, 2), (plq.basis_index, 3)}
 
 
 def test_data_fault_patterns_have_at_most_two_detectors(d3):
@@ -150,8 +150,9 @@ def test_single_edge_fault_incidence(d3):
 def test_xor_cancellation(d3):
     _, _, g = d3
     # two edges sharing a vertex: only the outer endpoints remain
+    view = g.int_view
     for eid, e in enumerate(g.edges):
-        for v, other in g.neighbors[e.u]:
+        for _, other in view.adj[view.edge_ends[eid][0]]:
             if other != eid:
                 ends = g.correction_syndrome([eid, other])
                 assert e.u not in ends

@@ -1,10 +1,12 @@
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 
+from fault_reference import edge_sampler
 from lazyqec.code_model import CheckBasis, build_rotated_surface_code, build_schedule
-from lazyqec.experiments import _edge_sampler
+from lazyqec.decoders import mwpm_decode, uf_decode
 from lazyqec.graph import (
     Syndrome,
     build_decoding_graph,
@@ -16,6 +18,7 @@ from lazyqec.lazy import (
     LazyFailure,
     LazyStreamDecoder,
     count_message_bits,
+    lazy_block,
     lazy_decode,
     lazy_decode_stream,
 )
@@ -188,6 +191,54 @@ def test_stream_rejects_edge_across_two_rounds():
         LazyStreamDecoder(g)
 
 
+def test_make_graph_rounds_cover_every_vertex():
+    """Without ``rounds``, an edge into round 1 gives the graph two rounds,
+    and every decoder decodes it alike; a ``rounds`` or ``n_checks`` too
+    small for an edge is rejected once the graph is read."""
+    g = make_graph([((0, 0), (0, 1))])
+    assert (g.n_checks, g.rounds) == (1, 2)
+    s = Syndrome.of([(0, 0), (0, 1)])
+    assert lazy_decode(g, s).correction == uf_decode(g, s) == mwpm_decode(g, s) == {0}
+    block = lazy_block(g, np.array([0, 1]), 1)
+    assert block.failure.tolist() == [0] and block.edge.tolist() == [0]
+    for short in (make_graph([((0, 0), (0, 1))], rounds=1),
+                  make_graph([((0, 0), (1, 0))], n_checks=1)):
+        with pytest.raises(ValueError, match="outside 1 checks x 1 rounds"):
+            lazy_decode(short, Syndrome.of([(0, 0)]))
+
+
+# Two checks over two rounds, with a half-edge at (0, 0) and at (1, 1).  With
+# ids ``round * n_checks + check``, check 2 of round 0 would alias (0, 1).
+_GRID = make_graph([((0, 0), (1, 0)), ((0, 0), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (1, 1))],
+                   [(0, 0), (1, 1)])
+
+
+def _feed(graph, vertex):
+    q, t = vertex
+    dec = LazyStreamDecoder(graph)
+    for _ in range(t):
+        dec.feed([])
+    dec.feed([q])
+
+
+_ONE_DEFECT = {
+    "lazy": lambda g, v: lazy_decode(g, Syndrome.of([v])),
+    "stream": _feed,
+    "uf": lambda g, v: uf_decode(g, Syndrome.of([v])),
+    "mwpm": lambda g, v: mwpm_decode(g, Syndrome.of([v])),
+    "classify": lambda g, v: classify_defects(g, Syndrome.of([v])),
+}
+
+
+@pytest.mark.parametrize("vertex", [(2, 0), (0, 2), (-1, 0)],
+                         ids=["check_past_end", "round_past_end", "negative_check"])
+@pytest.mark.parametrize("decoder", sorted(_ONE_DEFECT))
+def test_syndrome_vertex_outside_graph_raises(decoder, vertex):
+    assert (_GRID.n_checks, _GRID.rounds) == (2, 2)
+    with pytest.raises(ValueError, match=r"syndrome vertex .* outside the graph"):
+        _ONE_DEFECT[decoder](_GRID, vertex)
+
+
 @pytest.mark.parametrize("closed", [False, True])
 @pytest.mark.parametrize("basis", [CheckBasis.X, CheckBasis.Z])
 @pytest.mark.parametrize("d", [3, 5, 9])
@@ -234,7 +285,7 @@ def _perfect_syndromes(d, p, n, seed):
     g = build_perfect_graph(
         build_rotated_surface_code(d), NoiseParams(p, NoiseMode.PERFECT_MEASUREMENT)
     )
-    sample = _edge_sampler(g)
+    sample = edge_sampler(g)
     return g, [sample(trial_rng(seed, i))[0].defects for i in range(n)]
 
 

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from fault_reference import reference_sample, reference_syndrome
+from fault_reference import edge_sampler, reference_sample, reference_syndrome
 from lazyqec import experiments
 from lazyqec.code_model import (
     CheckBasis,
@@ -16,7 +16,7 @@ from lazyqec.code_model import (
     build_toric_code,
 )
 from lazyqec.decoders import DecoderKind, decode
-from lazyqec.experiments import BLOCK, _edge_sampler, estimate_logical_error, estimate_p_fail
+from lazyqec.experiments import BLOCK, estimate_logical_error, estimate_p_fail
 from lazyqec.graph import build_decoding_graph, build_perfect_graph, make_graph
 from lazyqec.lazy import BLOCK_FAILURES, lazy_block, lazy_decode
 from lazyqec.noise import FaultSampler, NoiseMode, NoiseParams, make_rng, trial_rng
@@ -91,7 +91,7 @@ def test_circuit_windows(circuit_graphs, d, basis, closed, p):
 )
 def test_perfect_measurement_graphs(layout, p, trials):
     graph = build_perfect_graph(layout, NoiseParams(p, NoiseMode.PERFECT_MEASUREMENT))
-    sample = _edge_sampler(graph)
+    sample = edge_sampler(graph)
     defects = [sample(trial_rng(SEED, i))[0].defects for i in range(trials)]
     assert_matches_scalar(graph, keys_of(graph, []), 0)
     assert_matches_scalar(graph, keys_of(graph, defects[:1]), 1)
@@ -165,7 +165,7 @@ def test_p_fail_campaign_matches_scalar_loop(monkeypatch, seed):
 def test_perfect_logical_campaign_matches_scalar_loop(monkeypatch, seed):
     p, d, trials = 4e-2, 6, BLOCK + 90
     graph = build_perfect_graph(build_toric_code(d), NoiseParams(p, NoiseMode.PERFECT_MEASUREMENT))
-    sample = _edge_sampler(graph)
+    sample = edge_sampler(graph)
     want, fallbacks = [], 0
     for i in range(trials):
         syndrome, error_obs = sample(trial_rng(seed, i))

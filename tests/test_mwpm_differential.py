@@ -10,7 +10,6 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 
 import networkx as nx
 import pytest
@@ -33,7 +32,17 @@ from lazyqec.graph import (
 from lazyqec.noise import FaultSampler, NoiseMode, NoiseParams, make_rng
 
 
-def _dijkstra(graph, source):
+def _neighbors(graph):
+    """Adjacency of the graph's edges by ``(check, round)`` vertex, parallel
+    edges kept."""
+    out = {}
+    for eid, e in enumerate(graph.edges):
+        out.setdefault(e.u, []).append((e.v, eid))
+        out.setdefault(e.v, []).append((e.u, eid))
+    return out
+
+
+def _dijkstra(graph, neighbors, source):
     dist = {source: 0.0}
     pred = {}
     heap = [(0.0, source)]
@@ -41,7 +50,7 @@ def _dijkstra(graph, source):
         d, v = heapq.heappop(heap)
         if d > dist.get(v, math.inf):
             continue
-        for u, eid in graph.neighbors.get(v, ()):
+        for u, eid in neighbors.get(v, ()):
             nd = d + graph.edges[eid].weight
             if nd < dist.get(u, math.inf):
                 dist[u] = nd
@@ -70,8 +79,9 @@ def dense_mwpm(graph, syndrome):
         raise ValueError("odd defect count in a graph without boundary")
 
     dists, preds, bpartner = [], [], []
+    neighbors = _neighbors(graph)
     for v in defects:
-        dist, pred = _dijkstra(graph, v)
+        dist, pred = _dijkstra(graph, neighbors, v)
         dists.append(dist)
         preds.append(pred)
         best = None
@@ -189,7 +199,7 @@ def _weighted_graph(edge_ps, half_ps):
     base = make_graph([uv for uv, _ in edge_ps], [v for v, _ in half_ps])
 
     def reweight(e, p):
-        return replace(e, probability=p, weight=math.log((1 - p) / p))
+        return e._replace(probability=p, weight=math.log((1 - p) / p))
 
     return DecodingGraph(
         None, CheckBasis.X, 1,
@@ -241,7 +251,7 @@ def test_all_zero_weight_graph():
 def test_defect_without_incident_edge_raises():
     graph = _open_d5()
     lonely = (0, 0)    # round 0 of a drop_initial window has no detectors
-    assert lonely not in graph.neighbors and lonely not in graph.half_edge_id
+    assert lonely not in _neighbors(graph) and lonely not in graph.half_edge_id
     for defects in ({lonely}, {lonely, (0, 1)}, {lonely, (0, 1), (1, 2)}):
         with pytest.raises(ValueError, match="defects could not be perfectly matched"):
             mwpm_decode(graph, Syndrome(frozenset(defects)))
@@ -282,8 +292,8 @@ def _assert_components_agree(graph, syndrome, sides, monkeypatch):
     """Every component of three or more defects gets a matching of equal total
     weight from the subset DP and from blossom, or neither matches it.  Counts
     the compared components by the side of the gate they fall on."""
-    vid, adj, bdist, _ = graph.matching_index
-    ids = sorted(vid[v] for v in syndrome.defects)
+    adj, bdist, _ = graph.matching_index
+    ids = sorted(graph.vertex_ids(syndrome.defects))
     b = [bdist[v] for v in ids]
     pairs, _ = decoders._near_pairs(adj, ids, b)
     kept = {(i, j) for i, j, _ in pairs}
@@ -327,7 +337,7 @@ def _toric_syndromes(d, seed):
         build_toric_code(d), NoiseParams(1e-3, NoiseMode.PERFECT_MEASUREMENT)
     )
     rng = random.Random(seed)
-    verts = sorted(graph.matching_index.vid)
+    verts = list(graph.vertices())
     syndromes = []
     for k in range(120):
         n = 2 * rng.randint(2, 9) - (k % 4 == 3)

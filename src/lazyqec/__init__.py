@@ -46,7 +46,7 @@ from .lazy import (
     lazy_decode,
     lazy_decode_stream,
 )
-from .noise import NoiseMode, NoiseParams, make_rng, sample_data_errors, sample_faults, trial_rng
+from .noise import NoiseMode, NoiseParams, make_rng, sample_faults, trial_rng
 from .resources import (
     InfeasibleError,
     RequirementReport,

@@ -84,13 +84,13 @@ class _Dsu:
 def uf_decode(graph: DecodingGraph, syndrome: Syndrome) -> frozenset[int]:
     """Union-Find decoding: returns edge ids whose incidence XOR reproduces
     the syndrome.  Raises if a component has odd parity and no boundary.
-    Vertices are ids (see ``IntView``); the boundary, -1, is one virtual
+    Vertices are ids (see ``DecodingGraph``); the boundary, -1, is one virtual
     vertex absorbing every half-edge, and a cluster containing it is always
     satisfied regardless of parity."""
     if not syndrome.defects:
         return frozenset()
     defects = graph.vertex_ids(syndrome.defects)
-    view = graph.int_view
+    view = graph.scalar_view
     adj, half = view.adj, view.half_ids
 
     dsu = _Dsu()
@@ -398,7 +398,7 @@ def _mwpm(graph: DecodingGraph, syndrome: Syndrome) -> tuple[frozenset[int], flo
     n = len(ids)
     if n == 0:
         return frozenset(), 0.0
-    has_boundary = bool(graph.half_edge_id)
+    has_boundary = graph.n_half_edges > 0
     if n % 2 == 1 and not has_boundary:
         raise ValueError("odd defect count in a graph without boundary")
     adj, bdist, bstep = graph.matching_index

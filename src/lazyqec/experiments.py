@@ -172,16 +172,13 @@ def estimate_p_fail(
 # --- logical error rates -------------------------------------------------------
 
 
-def _edge_probs(graph: DecodingGraph) -> np.ndarray:
-    return np.array([graph.edge(eid).probability for eid in range(graph.n_edges)])
-
-
-def _edge_block(graph: DecodingGraph, probs: np.ndarray, seed: int, lo: int, hi: int):
+def _edge_block(graph: DecodingGraph, seed: int, lo: int, hi: int):
     """Perfect-measurement errors of trials ``lo .. hi-1``: each graph edge,
     one data qubit, flips independently with its probability, trial ``i``
     drawing one uniform number per edge from its own stream ``trial_rng(seed,
     i)``.  Returns the defect keys and logical-flip masks of
     ``DecodingGraph.edge_syndromes``."""
+    probs = graph.probability
     hits = [np.flatnonzero(trial_rng(seed, i).random(probs.size) < probs) for i in range(lo, hi)]
     trial = np.repeat(np.arange(hi - lo), [h.size for h in hits])
     return graph.edge_syndromes(trial, np.concatenate(hits), hi - lo)
@@ -252,7 +249,7 @@ def estimate_logical_error(
         kind = layout_kind or CodeKind.TORIC_2D
         layout = _build_layout(kind, d)
         graph = build_perfect_graph(layout, NoiseParams(p, mode), CheckBasis.X)
-        sample = partial(_edge_block, graph, _edge_probs(graph))
+        sample = partial(_edge_block, graph)
     else:
         kind = layout_kind or CodeKind.ROTATED_SURFACE
         layout = _build_layout(kind, d)
@@ -284,7 +281,7 @@ def benchmark_runtime(
     on each syndrome, so drift in machine speed hits all kinds alike."""
     layout = _build_layout(layout_kind, d)
     graph = build_perfect_graph(layout, NoiseParams(p, NoiseMode.PERFECT_MEASUREMENT))
-    keys, _ = _edge_block(graph, _edge_probs(graph), seed, 0, trials)
+    keys, _ = _edge_block(graph, seed, 0, trials)
     syndromes = graph.key_syndromes(keys, range(trials))
 
     times = np.empty((len(decoder_kinds), trials))

@@ -1,8 +1,8 @@
 """Space-time decoding graphs built by symbolic fault propagation.
 
-Vertices are syndrome locations ``(check_index, round)`` for one check basis;
-the decoders read the graph through its integer view (``IntView``), where
-they are ids ``round * n_checks + check``.
+Vertices are syndrome locations ``(check_index, round)`` for one check basis,
+with ids ``round * n_checks + check``; a graph stores its edges once, as
+integer arrays over those ids (see ``DecodingGraph``).
 One bit-packed GF(2) frame kernel propagates the X and Z generator of every
 fault site; a fault's detection pattern in this basis (at most two flipped
 difference-syndrome locations), the XOR of its generators', becomes an edge
@@ -30,7 +30,6 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -74,7 +73,7 @@ class Edge(NamedTuple):
     probability: float
     weight: float
     kind: str                  # space | time | diagonal | boundary | time_boundary
-    obs: int | None            # logical-flip bitmask of the representative fault
+    obs: int                   # logical-flip bitmask of the representative fault
 
     @property
     def is_half(self) -> bool:
@@ -82,7 +81,7 @@ class Edge(NamedTuple):
 
 
 class MatchingIndex(NamedTuple):
-    """The integer view's shortest-path data, per vertex id (see ``IntView``)."""
+    """Shortest-path data per vertex id (see ``DecodingGraph``)."""
 
     # (neighbour, weight, eid, slack): slack is the neighbour's boundary
     # distance minus the weight, the room a search's bound leaves through it
@@ -92,10 +91,7 @@ class MatchingIndex(NamedTuple):
 
 
 class IntView(NamedTuple):
-    """The graph as every decoder reads it.  Vertex ``(check, round)`` has id
-    ``round * n_checks + check``, so ids sort as (round, check); edge ids are
-    the graph's, and -1 stands for the boundary.  Numpy arrays serve the
-    block kernels, Python lists the one-syndrome decoders."""
+    """The edge store as a CSR adjacency, for the block kernels."""
 
     n_v: int                    # rounds * n_checks
     start: np.ndarray           # (n_v + 1,) CSR offsets into ``nbr`` and ``nbr_edge``
@@ -103,11 +99,14 @@ class IntView(NamedTuple):
                                 # parallel edges kept
     nbr_edge: np.ndarray        # the edge id of that entry
     half: np.ndarray            # (n_v,) half-edge id, or -1
-    ends: np.ndarray            # (n_edges, 2) endpoint ids; -1 as a half-edge's second end
-    obs: np.ndarray             # (n_edges,) logical-flip mask, ``_NO_OBS`` for ``obs=None``
+
+
+class ScalarView(NamedTuple):
+    """The edge store as Python lists, for the one-syndrome decoders."""
+
     adj: list[list[tuple[int, int]]]    # per vertex, (neighbour, eid) in edge-id order
-    half_ids: list[int]                 # ``half`` as a list
-    edge_ends: list[list[int]]          # ``ends`` as a list
+    half_ids: list[int]                 # ``IntView.half`` as a list
+    edge_ends: list[list[int]]          # ``DecodingGraph.ends`` as a list
 
 
 _NO_OBS = -1
@@ -145,16 +144,41 @@ class DefectClasses(NamedTuple):
     boundary_isolated: frozenset[Vertex]     # boundary-adjacent with no defect neighbor
 
 
+@contextmanager
+def _collector_paused():
+    """For the views that allocate some 10^4 objects (``Edge`` tuples,
+    adjacency lists): the cyclic collections they set off find nothing.  The
+    array builder allocates few, and a d=15 build sets off four young-
+    generation collections, so it runs with the collector as it finds it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 class DecodingGraph:
-    """Immutable after construction; shared read-only by decoder workers."""
+    """Immutable after construction; shared read-only by decoder workers.
+
+    Vertex ``(check, round)`` has id ``round * n_checks + check``, so ids sort
+    as (round, check).  The edges are stored once, as arrays in edge-id order,
+    full edges first: ``ends`` (-1 as a half-edge's second end),
+    ``probability``, ``kind`` (an index into ``_KINDS``) and ``obs``.  Every
+    other form is a view built on first use: ``int_view``, ``scalar_view``,
+    ``matching_index``, and the ``Edge`` tuples of ``edges``, ``half_edges``
+    and ``half_edge_id``."""
 
     def __init__(
         self,
         layout: CodeLayout | None,
         basis: CheckBasis,
         rounds: int,
-        edges: list[Edge],
-        half_edges: list[Edge],
+        ends: np.ndarray,
+        probability: np.ndarray,
+        kind: np.ndarray,
+        obs: np.ndarray,
         fault_table: _FaultTable = _NO_FAULTS,
         census: tuple[FaultLocation, ...] | None = None,
         drop_initial: bool = True,
@@ -168,9 +192,22 @@ class DecodingGraph:
         self.rounds = rounds
         if centers is None:
             centers = [p.center for p in layout.checks(basis)]
-        self.n_checks = len(centers)
-        self.edges = tuple(edges)
-        self.half_edges = tuple(half_edges)
+        self.n_checks = n_c = len(centers)
+        self.ends = np.asarray(ends, dtype=np.int64).reshape(-1, 2)
+        self.probability = np.asarray(probability, dtype=np.float64)
+        self.kind = np.asarray(kind, dtype=np.int64)
+        self.obs = np.asarray(obs, dtype=np.int64)
+        for store in (self.ends, self.probability, self.kind, self.obs):
+            store.flags.writeable = False   # the views must not go stale
+        half = self.ends[:, 1] < 0
+        self.n_half_edges = int(np.count_nonzero(half))
+        self.n_full_edges = half.size - self.n_half_edges
+        if half[: self.n_full_edges].any():
+            raise ValueError("half-edges must follow the full edges")
+        at = np.sort(self.ends[half, 0])
+        twice = at[1:][at[1:] == at[:-1]].tolist()
+        if twice:   # the decoders reach the boundary through one half-edge per vertex
+            raise ValueError(f"two half-edges at vertex {(twice[0] % n_c, twice[0] // n_c)}")
         self._fault_table = fault_table
         self.census = census
         self.drop_initial = drop_initial
@@ -179,28 +216,53 @@ class DecodingGraph:
         self.invisible_obs_faults = invisible_obs_faults
 
         self._centers = centers
-        self.half_edge_id: dict[Vertex, int] = {}
-        for i, e in enumerate(self.half_edges):
-            if e.u in self.half_edge_id:
-                # the decoders reach the boundary through one half-edge per vertex
-                raise ValueError(f"two half-edges at vertex {e.u}")
-            self.half_edge_id[e.u] = len(self.edges) + i
         # Declared here, filled on first use: on CPython 3.11 an attribute
         # added after __init__ slows every attribute read on the graph, and
         # lazy decoding ran about 7% slower with it.
         self._matching_index: MatchingIndex | None = None
         self._int_view: IntView | None = None
+        self._scalar_view: ScalarView | None = None
+        self._edge_view: tuple[tuple[Edge, ...], tuple[Edge, ...], dict[Vertex, int]] | None = None
 
     # --- basic accessors ---------------------------------------------------
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges) + len(self.half_edges)
+        return self.probability.size
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        return (self._edge_view or self._build_edge_view())[0]
+
+    @property
+    def half_edges(self) -> tuple[Edge, ...]:
+        return (self._edge_view or self._build_edge_view())[1]
+
+    @property
+    def half_edge_id(self) -> dict[Vertex, int]:
+        return (self._edge_view or self._build_edge_view())[2]
+
+    @_collector_paused()
+    def _build_edge_view(self):
+        vertex = [*self.vertices(), None]   # None at id -1, a half-edge's missing end
+        prob = self.probability.tolist()
+        every = list(map(
+            Edge,
+            map(vertex.__getitem__, self.ends[:, 0].tolist()),
+            map(vertex.__getitem__, self.ends[:, 1].tolist()),
+            prob,
+            map(_weight, prob),
+            map(_KINDS.__getitem__, self.kind.tolist()),
+            self.obs.tolist(),
+        ))
+        n_full = self.n_full_edges
+        half_id = {e.u: n_full + i for i, e in enumerate(every[n_full:])}
+        self._edge_view = (tuple(every[:n_full]), tuple(every[n_full:]), half_id)
+        return self._edge_view
 
     def edge(self, eid: int) -> Edge:
-        if eid < len(self.edges):
-            return self.edges[eid]
-        return self.half_edges[eid - len(self.edges)]
+        n_full = self.n_full_edges
+        return self.edges[eid] if eid < n_full else self.half_edges[eid - n_full]
 
     def vertices(self) -> Iterable[Vertex]:
         for t in range(self.rounds):
@@ -216,12 +278,12 @@ class DecodingGraph:
         """Edge id by its sorted ends ``(u, v)``, or ``(u,)`` for a half-edge;
         of parallel edges the last one is kept.  Built on each call."""
         keys = {(e.u, e.v) if e.u <= e.v else (e.v, e.u): eid for eid, e in enumerate(self.edges)}
-        keys.update({(e.u,): len(self.edges) + i for i, e in enumerate(self.half_edges)})
+        keys.update({(u,): eid for u, eid in self.half_edge_id.items()})
         return keys
 
     def vertex_ids(self, vertices: Iterable[Vertex]) -> set[int]:
-        """The ids (see ``IntView``) of ``(check, round)`` vertices; raises for
-        a vertex outside the graph's checks and rounds."""
+        """The ids of ``(check, round)`` vertices; raises for a vertex outside
+        the graph's checks and rounds."""
         n_c, rounds = self.n_checks, self.rounds
         ids = set()
         for q, t in vertices:
@@ -240,26 +302,28 @@ class DecodingGraph:
         ``bdist[neighbour] - weight``."""
         if self._matching_index is not None:
             return self._matching_index
-        view, n_e = self.int_view, len(self.edges)
+        n_v, n_e = self.rounds * self.n_checks, self.n_full_edges
+        ends = self.ends.tolist()
+        weight = list(map(_weight, self.probability.tolist()))
         lightest: dict[tuple[int, int], tuple[float, int]] = {}
-        for eid, (a, b) in enumerate(view.edge_ends[:n_e]):
-            w = self.edges[eid].weight
+        for eid, (a, b) in enumerate(ends[:n_e]):
+            w = weight[eid]
             if a > b:
                 a, b = b, a
             if (a, b) not in lightest or w < lightest[a, b][0]:
                 lightest[a, b] = (w, eid)
-        adj: list[list[tuple[int, float, int]]] = [[] for _ in range(view.n_v)]
+        adj: list[list[tuple[int, float, int]]] = [[] for _ in range(n_v)]
         for (a, b), (w, eid) in lightest.items():
             adj[a].append((b, w, eid))
             adj[b].append((a, w, eid))
 
-        bdist = [math.inf] * view.n_v
-        bstep = [(-1, -1)] * view.n_v
+        bdist = [math.inf] * n_v
+        bstep = [(-1, -1)] * n_v
         heap = []
-        for i, e in enumerate(self.half_edges):
-            a = view.edge_ends[n_e + i][0]
-            bdist[a] = e.weight
-            bstep[a] = (-1, n_e + i)
+        for eid in range(n_e, self.n_edges):
+            a = ends[eid][0]
+            bdist[a] = weight[eid]
+            bstep[a] = (-1, eid)
             heap.append((bdist[a], a))
         heapq.heapify(heap)
         while heap:
@@ -277,41 +341,31 @@ class DecodingGraph:
 
     @property
     def int_view(self) -> IntView:
-        """Built on first use, so graph construction does not pay for it.
-        Raises for an edge end outside the graph's checks and rounds."""
-        if self._int_view is not None:
-            return self._int_view
-        n_c, n_e, rounds = self.n_checks, len(self.edges), self.rounds
-        n_v = rounds * n_c
-        all_edges = self.edges + self.half_edges
-
-        def ids(vertices, n):   # (check, round) pairs, flattened, to vertex ids
-            qt = np.fromiter(chain.from_iterable(vertices), np.int64, 2 * n).reshape(-1, 2)
-            bad = ((qt < 0) | (qt >= [n_c, rounds])).any(axis=1)
-            if bad.any():
-                q, t = qt[bad][0].tolist()
-                raise ValueError(f"edge vertex {(q, t)} outside {n_c} checks x {rounds} rounds")
-            return qt[:, 1] * n_c + qt[:, 0]
-
-        ends = np.full((len(all_edges), 2), -1, dtype=np.int64)
-        ends[:, 0] = ids((e.u for e in all_edges), len(all_edges))
-        ends[:n_e, 1] = ids((e.v for e in self.edges), n_e)
-        lo, hi = np.sort(ends[:n_e], axis=1).T
-        order = np.argsort(lo, kind="stable")
-        start = np.searchsorted(lo[order], np.arange(n_v + 1))
-        half = np.full(n_v, -1, dtype=np.int64)
-        half[ends[n_e:, 0]] = np.arange(n_e, len(all_edges))
-        obs = np.fromiter((_NO_OBS if e.obs is None else e.obs for e in all_edges), np.int64,
-                          len(all_edges))
-        edge_ends = ends.tolist()
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n_v)]
-        with _collector_paused():
-            for eid, (a, b) in enumerate(edge_ends[:n_e]):
-                adj[a].append((b, eid))
-                adj[b].append((a, eid))
-        self._int_view = IntView(n_v, start, hi[order], order, half, ends, obs,
-                                 adj, half.tolist(), edge_ends)
+        """Built on first use, so graph construction does not pay for it."""
+        if self._int_view is None:
+            n_v, n_e = self.rounds * self.n_checks, self.n_full_edges
+            lo, hi = np.sort(self.ends[:n_e], axis=1).T
+            order = np.argsort(lo, kind="stable")
+            start = np.searchsorted(lo[order], np.arange(n_v + 1))
+            half = np.full(n_v, -1, dtype=np.int64)
+            half[self.ends[n_e:, 0]] = np.arange(n_e, self.n_edges)
+            self._int_view = IntView(n_v, start, hi[order], order, half)
         return self._int_view
+
+    @property
+    def scalar_view(self) -> ScalarView:
+        """Built on the first one-syndrome decode: the block kernels never
+        read it."""
+        if self._scalar_view is None:
+            view = self.int_view
+            edge_ends = self.ends.tolist()
+            adj: list[list[tuple[int, int]]] = [[] for _ in range(view.n_v)]
+            with _collector_paused():
+                for eid, (a, b) in enumerate(edge_ends[: self.n_full_edges]):
+                    adj[a].append((b, eid))
+                    adj[b].append((a, eid))
+            self._scalar_view = ScalarView(adj, view.half.tolist(), edge_ends)
+        return self._scalar_view
 
     # --- fault mapping -----------------------------------------------------
 
@@ -322,7 +376,7 @@ class DecodingGraph:
 
     def block_syndromes(self, faults: FaultBlock) -> tuple[np.ndarray, np.ndarray]:
         """The defects of a fault block as sorted int64 keys ``trial * n_v +
-        vertex id`` (see ``IntView``), and per trial its logical-flip mask.
+        vertex id`` (see ``DecodingGraph``), and per trial its logical-flip mask.
 
         Every fault places its template's detectors at its round; those
         outside the window are clipped, and a vertex is a defect when an odd
@@ -346,14 +400,10 @@ class DecodingGraph:
         """``block_syndromes`` for per-trial edge sets, given as parallel
         (trial, edge id) arrays: the keys of the vertices an odd number of a
         trial's edges touch, and the XOR of their logical-flip masks."""
-        view = self.int_view
-        ends = view.ends[edge]
-        key = (trial[:, None] * view.n_v + ends)[ends >= 0]
-        masks = view.obs[edge]
-        if (masks == _NO_OBS).any():
-            raise ValueError("edge has inconsistent logical bookkeeping")
+        ends = self.ends[edge]
+        key = (trial[:, None] * (self.rounds * self.n_checks) + ends)[ends >= 0]
         obs = np.zeros(trials, dtype=np.int64)
-        np.bitwise_xor.at(obs, trial, masks)
+        np.bitwise_xor.at(obs, trial, self.obs[edge])
         return _odd_keys(key), obs
 
     def key_syndromes(self, keys: np.ndarray, trials: Iterable[int]) -> list[Syndrome]:
@@ -380,11 +430,12 @@ class DecodingGraph:
         return FaultBlock(1, np.zeros(t.size, dtype=np.int64), t, loc, choice)
 
     def correction_syndrome(self, edge_ids: Iterable[int]) -> frozenset[Vertex]:
-        acc: set[Vertex] = set()
+        ends, acc = self.scalar_view.edge_ends, set()
         for eid in edge_ids:
-            e = self.edge(eid)
-            acc.symmetric_difference_update((e.u,) if e.v is None else (e.u, e.v))
-        return frozenset(acc)
+            a, b = ends[eid]
+            acc.symmetric_difference_update((a,) if b < 0 else (a, b))
+        n_c = self.n_checks
+        return frozenset((v % n_c, v // n_c) for v in acc)
 
     def obs_of_faults(self, events: Iterable[FaultEvent]) -> int:
         """Logical-flip bitmask of a fault list (XOR of per-fault flips): a
@@ -392,13 +443,7 @@ class DecodingGraph:
         return int(self.block_syndromes(self._event_block(events))[1][0])
 
     def obs_of_edges(self, edge_ids: Iterable[int]) -> int:
-        mask = 0
-        for eid in edge_ids:
-            obs = self.edge(eid).obs
-            if obs is None:
-                raise ValueError("edge has inconsistent logical bookkeeping")
-            mask ^= obs
-        return mask
+        return int(np.bitwise_xor.reduce(self.obs[np.fromiter(edge_ids, np.int64)]))
 
     # --- serialization -----------------------------------------------------
 
@@ -424,37 +469,37 @@ class DecodingGraph:
             ],
             "obs_conflicts": self.obs_conflicts,
             "invisible_obs_faults": self.invisible_obs_faults,
-            "edge_counts": {k: sum(e.kind == k for e in self.edges + self.half_edges)
-                            for k in _KIND_RANK},
+            "edge_counts": dict(zip(_KINDS, np.bincount(self.kind, minlength=len(_KINDS)).tolist())),
         }
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)
 
 
-def _edge_kind(u: Vertex, v: Vertex) -> str:
+def _edge_kind(u: Vertex, v: Vertex) -> int:
+    """The ``_KINDS`` index of the edge joining ``u`` and ``v``."""
     if u[0] == v[0]:
-        return "time"
+        return 1   # time
     if u[1] == v[1]:
-        return "space"
-    return "diagonal"
+        return 0   # space
+    return 2       # diagonal
 
 
-_KIND_RANK = {"space": 0, "time": 1, "diagonal": 2, "boundary": 0, "time_boundary": 1}
+_KINDS = ("space", "time", "diagonal", "boundary", "time_boundary")
+_SCAN_RANK = np.array([0, 1, 2, 0, 1])   # per kind: space, then time, then diagonal
 
 
-def _sort_canonical(edges: list[Edge], centers: list[tuple[int, int]]) -> list[Edge]:
-    """Fixed scan order: (t, y, x) of the smaller endpoint, then direction
-    class (space before time before diagonal), then the other endpoint."""
-    at = {yx: i for i, yx in enumerate(sorted({(y, x) for x, y in centers}))}
-    rank = [at[y, x] for x, y in centers]   # (t, rank) orders vertices as (t, y, x)
-
-    def key(e: Edge):
-        a = (e.u[1], rank[e.u[0]])
-        b = () if e.v is None else (e.v[1], rank[e.v[0]])
-        return (a, _KIND_RANK[e.kind], b) if not b or a <= b else (b, _KIND_RANK[e.kind], a)
-
-    return sorted(edges, key=key)
+def _scan_order(ends: np.ndarray, kind: np.ndarray, centers: list[tuple[int, int]]) -> np.ndarray:
+    """The canonical scan order of edges given as vertex ids: (round, y, x)
+    of the smaller endpoint, then direction class (space before time before
+    diagonal), then the other endpoint; edges before half-edges."""
+    n_c = len(centers)
+    yx = np.empty(n_c, dtype=np.int64)
+    yx[np.lexsort(np.array(centers).T)] = np.arange(n_c)
+    s = ends // n_c * n_c + yx[ends % n_c]   # ids ranked as (round, y, x)
+    half = ends[:, 1] < 0
+    lo, hi = s.min(axis=1), s.max(axis=1)
+    return np.lexsort((np.where(half, -1, hi), _SCAN_RANK[kind], np.where(half, s[:, 0], lo), half))
 
 
 def _weight(p: float) -> float:
@@ -573,7 +618,7 @@ def difference_syndrome(raw: np.ndarray, initial_round_zero: bool = True) -> Syn
 
 def classify_defects(graph: DecodingGraph, syndrome: Syndrome) -> DefectClasses:
     """Split defects into bulk, boundary-adjacent and boundary-isolated sets."""
-    ids, n_c, view = graph.vertex_ids(syndrome.defects), graph.n_checks, graph.int_view
+    ids, n_c, view = graph.vertex_ids(syndrome.defects), graph.n_checks, graph.scalar_view
     adjacent = [v for v in ids if view.half_ids[v] >= 0]
     isolated = [v for v in adjacent if all(u not in ids for u, _ in view.adj[v])]
 
@@ -641,26 +686,6 @@ def _ordered_products(group: np.ndarray, factor: np.ndarray, n_groups: int) -> n
     return pi
 
 
-_KINDS = ("space", "time", "diagonal", "boundary", "time_boundary")
-
-
-@contextmanager
-def _collector_paused():
-    """The build and the integer view still allocate some 10^4 objects
-    (edges, adjacency lists); the cyclic collections they set off find
-    nothing.  A d=15 ``reproduce_table`` call took 40 ms with the collector
-    paused, against 41 ms with it on, and 46 ms with it on and a second
-    graph alive."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-@_collector_paused()
 def build_decoding_graph(
     layout: CodeLayout,
     schedule: CircuitSchedule,
@@ -821,38 +846,21 @@ def build_decoding_graph(
     spatial = np.zeros(ends.size, dtype=bool)   # a half-edge of a one-detector pattern
     spatial[edge[(v < 0) & (pk[pat, 1] < 0)]] = True
 
-    # Canonical scan order: (round, y, x) of the smaller endpoint, then
-    # direction class (space before time before diagonal), then the other
-    # endpoint; edges before half-edges.
     u, v = ends // (n_v + 1), ends % (n_v + 1) - 1
     half = v < 0
     kind = np.where(half, np.where(spatial, 3, 4),
                     np.where(u // rounds == v // rounds, 1, np.where(u % rounds == v % rounds, 0, 2)))
-    yx = np.empty(n_c, dtype=np.int64)
-    yx[np.lexsort(np.array([p.center for p in checks]).T)] = np.arange(n_c)
-    su, sv = u % rounds * n_c + yx[u // rounds], v % rounds * n_c + yx[v // rounds]
-    rank = np.array([_KIND_RANK[k] for k in _KINDS])[kind]
-    order = np.lexsort((np.where(half, -1, np.maximum(su, sv)), rank,
-                        np.where(half, su, np.minimum(su, sv)), half))
-    vertex = [(q, r) for q in range(n_c) for r in range(rounds)]
-    vertex.append(None)   # code -1, a half-edge's missing end
-    prob = prob[order].tolist()
-    every = list(map(
-        Edge,
-        map(vertex.__getitem__, u[order].tolist()),
-        map(vertex.__getitem__, v[order].tolist()),
-        prob,
-        map(_weight, prob),
-        map(_KINDS.__getitem__, kind[order].tolist()),
-        obs[order].tolist(),
-    ))
-    n_full = ends.size - int(np.count_nonzero(half))
+    ends = np.stack([u, v], axis=1)
+    ends = np.where(ends >= 0, ends % rounds * n_c + ends // rounds, -1)   # codes to vertex ids
+    order = _scan_order(ends, kind, [p.center for p in checks])
     return DecodingGraph(
         layout,
         basis,
         rounds,
-        every[:n_full],
-        every[n_full:],
+        ends[order],
+        prob[order],
+        kind[order],
+        obs[order],
         fault_table=_FaultTable(width, offset, table_obs),
         census=census,
         drop_initial=drop_initial,
@@ -884,15 +892,18 @@ def make_graph(
         rounds = max((v[1] for v in all_vs), default=0) + 1
     if centers is None:
         centers = [(q, 0) for q in range(n_checks)]
-    w = _weight(p)
-    edges = [
-        Edge(min(u, v), max(u, v), p, w, _edge_kind(u, v), 0)
-        for u, v in edge_pairs
-    ]
-    halves = [Edge(v, None, p, w, "boundary", 0) for v in half_vertices]
-    return DecodingGraph(
-        None, CheckBasis.X, rounds, edges, halves, drop_initial=False, centers=centers
-    )
+
+    def vid(v: Vertex) -> int:
+        q, t = v
+        if not (0 <= q < n_checks and 0 <= t < rounds):
+            raise ValueError(f"edge vertex {(q, t)} outside {n_checks} checks x {rounds} rounds")
+        return t * n_checks + q
+
+    ends = [(vid(min(u, v)), vid(max(u, v))) for u, v in edge_pairs]
+    ends += [(vid(v), -1) for v in half_vertices]
+    kind = [_edge_kind(u, v) for u, v in edge_pairs] + [3] * len(half_vertices)   # 3: boundary
+    return DecodingGraph(None, CheckBasis.X, rounds, ends, [p] * len(ends), kind, [0] * len(ends),
+                         drop_initial=False, centers=centers)
 
 
 def build_perfect_graph(
@@ -923,24 +934,28 @@ def build_perfect_graph(
     # Qubits seen by exactly the same checks (pairs of boundary qubits of the
     # rotated layout) merge into one edge by the XOR rule; a lone qubit keeps
     # p exactly.
-    edges, half_edges, conflicts = [], [], 0
-    for seen_by, obs in masks.items():
+    ends, probability, obs, conflicts = [], [], [], 0
+    for seen_by, qubit_obs in masks.items():
         pi = 1.0   # the XOR rule's product, one factor per qubit
-        for _ in obs:
+        for _ in qubit_obs:
             pi *= 1.0 - 2.0 * p
-        p_e = p if len(obs) == 1 else (1.0 - pi) / 2.0
-        conflicts += any(mask != obs[0] for mask in obs)
-        if len(seen_by) == 2:
-            edges.append(Edge((seen_by[0], 0), (seen_by[1], 0), p_e, _weight(p_e), "space", obs[0]))
-        else:
-            half_edges.append(Edge((seen_by[0], 0), None, p_e, _weight(p_e), "boundary", obs[0]))
+        probability.append(p if len(qubit_obs) == 1 else (1.0 - pi) / 2.0)
+        conflicts += any(mask != qubit_obs[0] for mask in qubit_obs)
+        obs.append(qubit_obs[0])
+        ends.append((seen_by[0], seen_by[1] if len(seen_by) == 2 else -1))   # round 0: id = check
+    ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    kind = np.where(ends[:, 1] < 0, 3, 0)   # boundary or space
     centers = [plq.center for plq in checks]
+    order = _scan_order(ends, kind, centers)
     return DecodingGraph(
         layout,
         basis,
         1,
-        _sort_canonical(edges, centers),
-        _sort_canonical(half_edges, centers),
+        ends[order],
+        np.array(probability)[order],
+        kind[order],
+        np.array(obs, dtype=np.int64)[order],
         drop_initial=False,
         obs_conflicts=conflicts,
+        centers=centers,
     )

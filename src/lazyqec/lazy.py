@@ -53,11 +53,11 @@ def _settle(
     n_amb: int,
 ) -> tuple[list[int], LazyFailure | None, int]:
     """The lazy rule on the defects of ``front``, as vertex ids (see
-    ``IntView``); matched defects leave ``working``.  Returns the edge ids
+    ``DecodingGraph``); matched defects leave ``working``.  Returns the edge ids
     taken, in order, the failure (None on success) and the running ambiguous
     count."""
     matched: list[int] = []
-    view = graph.int_view
+    view = graph.scalar_view
     adj, ends = view.adj, view.edge_ends
     for eid in sorted({eid for v in front for u, eid in adj[v] if u in working}):
         a, b = ends[eid]
@@ -216,10 +216,10 @@ class LazyStreamDecoder:
     """
 
     def __init__(self, graph: DecodingGraph):
-        if any(abs(e.u[1] - e.v[1]) > 1 for e in graph.edges):
+        if (abs(np.diff(graph.ends[: graph.n_full_edges] // graph.n_checks)) > 1).any():
             raise ValueError("streaming needs every edge to join rounds at most one apart")
         self.graph = graph
-        self._defects: set[int] = set()      # vertex ids (see ``IntView``)
+        self._defects: set[int] = set()      # vertex ids (see ``DecodingGraph``)
         self._working: set[int] = set()
         self._correction: set[int] = set()
         self._n_amb = 0

@@ -25,7 +25,6 @@ import numpy as np
 from .code_model import (
     CheckBasis,
     CircuitSchedule,
-    CodeLayout,
     Cnot,
     MeasureAncilla,
     PrepAncilla,
@@ -244,21 +243,6 @@ def _schedule_sampler(schedule: CircuitSchedule, rounds: int, p: float) -> Fault
     sampler walks the whole census, which cost several one-trial draws at
     d=5, and a sampler is never modified."""
     return FaultSampler(round_census(schedule), rounds, p)
-
-
-def sample_data_errors(
-    layout: CodeLayout,
-    noise: NoiseParams,
-    seed: int,
-    rng: np.random.Generator | None = None,
-) -> set[tuple[int, str]]:
-    """Perfect-measurement mode: independent Z error on each data qubit."""
-    if noise.mode is not NoiseMode.PERFECT_MEASUREMENT:
-        raise ValueError("sample_data_errors requires perfect-measurement noise")
-    if rng is None:
-        rng = make_rng(seed)
-    hits = np.nonzero(rng.random(layout.n_data) < noise.p)[0]
-    return {(int(q), "Z") for q in hits}
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 import gc
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from lazyqec.code_model import (
 )
 from lazyqec.graph import (
     _ABSENT,
+    _KINDS,
     _NO_OBS,
     ScheduleError,
     Syndrome,
@@ -28,11 +30,14 @@ from lazyqec.graph import (
     make_graph,
     simulate_window,
 )
+from lazyqec.lazy import lazy_block
 from lazyqec.noise import (
     FaultEvent,
+    FaultSampler,
     LocationKind,
     NoiseMode,
     NoiseParams,
+    make_rng,
     round_census,
     sample_faults,
     trial_rng,
@@ -48,15 +53,17 @@ def d3():
 
 
 def test_build_restores_the_collector_state():
-    """build_decoding_graph pauses the cyclic garbage collector; it must
-    leave it as it found it, also when the build raises."""
+    """The ``Edge`` view and the scalar lists pause the cyclic garbage
+    collector while they are built; they and the builder must leave it as
+    they found it, also when the build raises."""
     lay = build_rotated_surface_code(3)
     sch = build_schedule(lay)
     was = gc.isenabled()
     try:
         for enabled in (True, False):
             (gc.enable if enabled else gc.disable)()
-            build_decoding_graph(lay, sch, 3, NoiseParams(1e-3))
+            graph = build_decoding_graph(lay, sch, 3, NoiseParams(1e-3))
+            assert graph.edges and graph.scalar_view.adj
             assert gc.isenabled() is enabled
             with pytest.raises(ValueError):
                 build_decoding_graph(lay, sch, 0, NoiseParams(1e-3))
@@ -150,7 +157,7 @@ def test_single_edge_fault_incidence(d3):
 def test_xor_cancellation(d3):
     _, _, g = d3
     # two edges sharing a vertex: only the outer endpoints remain
-    view = g.int_view
+    view = g.scalar_view
     for eid, e in enumerate(g.edges):
         for _, other in view.adj[view.edge_ends[eid][0]]:
             if other != eid:
@@ -266,6 +273,51 @@ def test_perfect_graph_shape(d, basis):
 def test_graph_rejects_two_half_edges_at_one_vertex():
     with pytest.raises(ValueError, match="two half-edges at vertex"):
         make_graph([((0, 0), (1, 0))], [(0, 0), (1, 0), (0, 0)])
+
+
+def _circuit(d, basis, closed):
+    lay = build_rotated_surface_code(d)
+    window = dict(drop_initial=False, noisy_rounds=d) if closed else {}
+    return build_decoding_graph(lay, build_schedule(lay), d + closed, NoiseParams(1e-2), basis,
+                                **window)
+
+
+_STORE_CASES = {
+    **{f"circuit-d5-{basis.value}-{'closed' if closed else 'open'}":
+       partial(_circuit, 5, basis, closed) for basis in CheckBasis for closed in (False, True)},
+    "perfect-rotated-d5": lambda: build_perfect_graph(
+        build_rotated_surface_code(5), NoiseParams(0.05, NoiseMode.PERFECT_MEASUREMENT)),
+    "perfect-toric-d6": lambda: build_perfect_graph(
+        build_toric_code(6), NoiseParams(0.05, NoiseMode.PERFECT_MEASUREMENT)),
+    "make_graph": lambda: make_graph(
+        [((0, 0), (1, 0)), ((1, 1), (0, 0)), ((0, 1), (0, 0)), ((2, 1), (1, 1))],
+        [(1, 1), (0, 0)], n_checks=3, p=0.05),
+}
+
+
+@pytest.mark.parametrize("build", list(_STORE_CASES.values()), ids=list(_STORE_CASES))
+def test_edge_view_matches_store(build):
+    """The ``Edge`` view agrees with the stored arrays on every edge id; the
+    block kernels build neither it nor the scalar decoders' lists."""
+    graph = build()
+    if graph.census is not None:
+        faults = FaultSampler(graph.census, graph.noisy_rounds, 1e-2).sample_block(make_rng(3), 64)
+        keys, _ = graph.block_syndromes(faults)
+        assert lazy_block(graph, keys, 64).failure.size == 64 and keys.size
+        assert graph._edge_view is None and graph._scalar_view is None
+
+    n_c, n_full = graph.n_checks, graph.n_full_edges
+    assert (len(graph.edges), len(graph.half_edges)) == (n_full, graph.n_half_edges)
+    for eid in range(graph.n_edges):
+        e = graph.edge(eid)
+        u, v = graph.ends[eid].tolist()
+        assert (e.u, e.v) == ((u % n_c, u // n_c), None if v < 0 else (v % n_c, v // n_c))
+        assert e.is_half == (eid >= n_full) and (e.is_half or e.u < e.v)
+        assert e.probability == graph.probability[eid]
+        assert e.weight == math.log((1 - e.probability) / e.probability)
+        assert e.kind == _KINDS[graph.kind[eid]]
+        assert e.obs == graph.obs[eid] and type(e.obs) is int
+    assert graph.half_edge_id == {e.u: n_full + i for i, e in enumerate(graph.half_edges)}
 
 
 def test_graph_json_round_trip(d3):

@@ -194,17 +194,17 @@ def test_stream_rejects_edge_across_two_rounds():
 def test_make_graph_rounds_cover_every_vertex():
     """Without ``rounds``, an edge into round 1 gives the graph two rounds,
     and every decoder decodes it alike; a ``rounds`` or ``n_checks`` too
-    small for an edge is rejected once the graph is read."""
+    small for an edge is rejected when the graph is built."""
     g = make_graph([((0, 0), (0, 1))])
     assert (g.n_checks, g.rounds) == (1, 2)
     s = Syndrome.of([(0, 0), (0, 1)])
     assert lazy_decode(g, s).correction == uf_decode(g, s) == mwpm_decode(g, s) == {0}
     block = lazy_block(g, np.array([0, 1]), 1)
     assert block.failure.tolist() == [0] and block.edge.tolist() == [0]
-    for short in (make_graph([((0, 0), (0, 1))], rounds=1),
-                  make_graph([((0, 0), (1, 0))], n_checks=1)):
-        with pytest.raises(ValueError, match="outside 1 checks x 1 rounds"):
-            lazy_decode(short, Syndrome.of([(0, 0)]))
+    with pytest.raises(ValueError, match="outside 1 checks x 1 rounds"):
+        make_graph([((0, 0), (0, 1))], rounds=1)
+    with pytest.raises(ValueError, match="outside 1 checks x 1 rounds"):
+        make_graph([((0, 0), (1, 0))], n_checks=1)
 
 
 # Two checks over two rounds, with a half-edge at (0, 0) and at (1, 1).  With

@@ -12,6 +12,7 @@ import random
 from collections import Counter
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from lazyqec import decoders
@@ -195,18 +196,17 @@ def test_sparse_mwpm_equals_dense_reference(build, seed):
 
 
 def _weighted_graph(edge_ps, half_ps):
-    """A ``make_graph`` graph whose edges each get their own probability."""
-    base = make_graph([uv for uv, _ in edge_ps], [v for v, _ in half_ps])
-
-    def reweight(e, p):
-        return e._replace(probability=p, weight=math.log((1 - p) / p))
-
+    """A one-round graph whose edges each get their own probability, given
+    to the constructor as the edge store's arrays: space edges, then
+    boundary half-edges, every vertex id its check."""
+    ends = np.array([sorted((u[0], v[0])) for (u, v), _ in edge_ps]
+                    + [(v[0], -1) for v, _ in half_ps]).reshape(-1, 2)
+    kind = np.array([0] * len(edge_ps) + [3] * len(half_ps))
     return DecodingGraph(
-        None, CheckBasis.X, 1,
-        [reweight(e, p) for e, (_, p) in zip(base.edges, edge_ps)],
-        [reweight(e, p) for e, (_, p) in zip(base.half_edges, half_ps)],
+        None, CheckBasis.X, 1, ends, np.array([p for _, p in edge_ps + half_ps]), kind,
+        np.zeros(len(ends), dtype=np.int64),
         drop_initial=False,
-        centers=[(q, 0) for q in range(base.n_checks)],
+        centers=[(q, 0) for q in range(ends.max() + 1)],
     )
 
 

@@ -8,12 +8,10 @@ from lazyqec.noise import (
     FaultEvent,
     FaultSampler,
     LocationKind,
-    NoiseMode,
     NoiseParams,
     TWO_QUBIT_PAULIS,
     make_rng,
     round_census,
-    sample_data_errors,
     sample_faults,
     trial_rng,
 )
@@ -78,14 +76,6 @@ def test_p_zero_no_faults():
     lay = build_rotated_surface_code(3)
     sch = build_schedule(lay)
     assert sample_faults(sch, 5, NoiseParams(0.0), seed=1) == []
-
-
-def test_data_errors_p_limits():
-    lay = build_rotated_surface_code(3)
-    none = sample_data_errors(lay, NoiseParams(0.0, NoiseMode.PERFECT_MEASUREMENT), seed=3)
-    assert none == set()
-    full = sample_data_errors(lay, NoiseParams(1.0, NoiseMode.PERFECT_MEASUREMENT), seed=3)
-    assert full == {(q, "Z") for q in range(lay.n_data)}
 
 
 def test_fault_rate_matches_p():

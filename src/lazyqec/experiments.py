@@ -2,15 +2,17 @@
 paired decoder benchmarks, bandwidth curves and requirement tables.
 
 Every estimate is reproducible from a master seed.  Trials run in blocks of
-``BLOCK``: a circuit-level block ``b`` samples all its trials' faults from the
-Philox stream ``(seed, b)``, and a perfect-measurement trial ``i`` draws from
-``(seed, i + 1)``.  A last, partial block is sampled whole and truncated, so
-a trial's outcome depends neither on the worker count, nor on scheduling
-order, nor on the number of trials.  The lazy rule runs on a whole block at
-once (``lazy.lazy_block``); only its failures, and the trials of the decoders
-without a lazy stage, are decoded one by one.  Rates come with Wilson 95%
-intervals; a run with zero observed failures reports the rule-of-three upper
-bound 3/n and is marked censored.
+``BLOCK``, and block ``b`` samples all its trials' errors from the Philox
+stream ``(seed, b)`` in both noise modes: circuit-level faults through
+``FaultSampler``, perfect-measurement edge flips through ``EdgeSampler``,
+both by the one geometric-skip routine ``noise.geometric_hits``.  A last,
+partial block is sampled whole and truncated, so a trial's outcome depends
+neither on the worker count, nor on scheduling order, nor on the number of
+trials.  The lazy rule runs on a whole block at once (``lazy.lazy_block``);
+only its failures, and the trials of the decoders without a lazy stage, are
+decoded one by one.  Rates come with Wilson 95% intervals; a run with zero
+observed failures reports the rule-of-three upper bound 3/n and is marked
+censored.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ from .decoders import DecoderKind, decode
 from .graph import DecodingGraph, Syndrome, build_decoding_graph, build_perfect_graph
 # lazy_decode stays importable here: the benchmark's tracer wraps experiments.lazy_decode
 from .lazy import lazy_block, lazy_decode  # noqa: F401
-from .noise import FaultSampler, NoiseMode, NoiseParams, make_rng, trial_rng
+from .noise import EdgeSampler, FaultSampler, NoiseMode, NoiseParams, make_rng
+# trial_rng stays importable here: the benchmark's tracer wraps experiments.trial_rng
+from .noise import trial_rng  # noqa: F401
 from .resources import RequirementReport, SystemParams, requirement_report, select_distance
 
 
@@ -84,8 +88,8 @@ def estimate_from_counts(k: int, n: int, seed: int) -> Estimate:
 # Trials per block.  A block pays a fixed numpy cost, so small blocks are
 # slow: at d=15, p=1e-4 sampling, syndrome keys and the lazy rule took 4.0,
 # 1.6-1.9 and 1.3-1.4 us per trial at 64, 256 and 1024 trials per block.  A
-# circuit-level block draws from one stream, so changing BLOCK changes every
-# circuit-level result of a seed.
+# block draws from one stream, so changing BLOCK changes every result of a
+# seed.
 BLOCK = 256
 
 _WORKER_CTX = None
@@ -172,16 +176,15 @@ def estimate_p_fail(
 # --- logical error rates -------------------------------------------------------
 
 
-def _edge_block(graph: DecodingGraph, seed: int, lo: int, hi: int):
-    """Perfect-measurement errors of trials ``lo .. hi-1``: each graph edge,
-    one data qubit, flips independently with its probability, trial ``i``
-    drawing one uniform number per edge from its own stream ``trial_rng(seed,
-    i)``.  Returns the defect keys and logical-flip masks of
-    ``DecodingGraph.edge_syndromes``."""
-    probs = graph.probability
-    hits = [np.flatnonzero(trial_rng(seed, i).random(probs.size) < probs) for i in range(lo, hi)]
-    trial = np.repeat(np.arange(hi - lo), [h.size for h in hits])
-    return graph.edge_syndromes(trial, np.concatenate(hits), hi - lo)
+def _edge_block(graph: DecodingGraph, sampler: EdgeSampler, seed: int, lo: int, hi: int):
+    """Perfect-measurement errors of trials ``lo .. hi-1``, ``lo`` a multiple
+    of ``BLOCK``: each graph edge flips independently with its probability,
+    the whole block sampled from the stream ``(seed, lo // BLOCK)`` by
+    geometric skipping and truncated.  Returns the defect keys and
+    logical-flip masks of ``DecodingGraph.edge_syndromes``."""
+    trial, edge = sampler.sample_block(make_rng(seed, lo // BLOCK), BLOCK)
+    keep = trial < hi - lo
+    return graph.edge_syndromes(trial[keep], edge[keep], hi - lo)
 
 
 _LAZY_KINDS = (DecoderKind.LAZY, DecoderKind.LAZY_UNION_FIND, DecoderKind.LAZY_MWPM)
@@ -249,7 +252,7 @@ def estimate_logical_error(
         kind = layout_kind or CodeKind.TORIC_2D
         layout = _build_layout(kind, d)
         graph = build_perfect_graph(layout, NoiseParams(p, mode), CheckBasis.X)
-        sample = partial(_edge_block, graph)
+        sample = partial(_edge_block, graph, EdgeSampler(graph.probability))
     else:
         kind = layout_kind or CodeKind.ROTATED_SURFACE
         layout = _build_layout(kind, d)
@@ -266,6 +269,12 @@ def estimate_logical_error(
 # --- paired runtime benchmark ----------------------------------------------------
 
 
+def _syndrome_block(payload, seed, lo, hi) -> list[Syndrome]:
+    graph, sampler = payload
+    keys, _ = _edge_block(graph, sampler, seed, lo, hi)
+    return graph.key_syndromes(keys, range(hi - lo))
+
+
 def benchmark_runtime(
     decoder_kinds: list[DecoderKind],
     p: float,
@@ -276,13 +285,15 @@ def benchmark_runtime(
     layout_kind: CodeKind = CodeKind.TORIC_2D,
 ) -> dict[DecoderKind, dict[str, float]]:
     """Wall-time statistics per decoder kind over an identical instance
-    stream (perfect-measurement mode).  Timings cover the decode call only.
+    stream (perfect-measurement mode): the syndromes of the trials of
+    ``estimate_logical_error`` with the same seed, sampled block by block
+    from the streams ``(seed, b)``.  Timings cover the decode call only.
     Each syndrome is decoded by every kind in turn, starting one kind later
     on each syndrome, so drift in machine speed hits all kinds alike."""
     layout = _build_layout(layout_kind, d)
     graph = build_perfect_graph(layout, NoiseParams(p, NoiseMode.PERFECT_MEASUREMENT))
-    keys, _ = _edge_block(graph, seed, 0, trials)
-    syndromes = graph.key_syndromes(keys, range(trials))
+    syndromes = _run_trials(_syndrome_block, (graph, EdgeSampler(graph.probability)),
+                            seed, trials, 1)
 
     times = np.empty((len(decoder_kinds), trials))
     fallbacks = [0] * len(decoder_kinds)

@@ -7,9 +7,16 @@ probability ``p`` (Pauli uniform over X, Y, Z), a CNOT with probability ``p``
 (uniform over the 15 non-identity two-qubit Paulis) and a measurement outcome
 flips with probability ``2p/3``.
 
-Randomness uses the counter-based Philox generator keyed on
-``(seed, stream)``; derived streams, one per trial or per block of trials,
-are therefore independent by construction and reproducible across runs and
+In the perfect-measurement mode each edge of the single-slice decoding
+graph, one data qubit or a merged pair, flips independently with its own
+probability.
+
+Both modes draw a block of trials at once with one routine,
+``geometric_hits``: every probability class is a Bernoulli field over the
+flat index of its sites across the block, sampled exactly by geometric gaps
+from hit to hit.  Randomness uses the counter-based Philox generator keyed
+on ``(seed, stream)``; derived streams, one per block of trials, are
+therefore independent by construction and reproducible across runs and
 worker counts.
 """
 
@@ -151,6 +158,48 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return make_rng(master_seed, trial + 1)
 
 
+def geometric_hits(rng: np.random.Generator, q: float, size: int) -> np.ndarray:
+    """The indices, ascending, of the sites that fire among ``size``
+    independent Bernoulli(``q``) sites, found by geometric gaps from hit to
+    hit.
+
+    The gaps come in batches of the mean hit count plus four deviations,
+    until the position passes the end; a gap past the end is clipped to it,
+    which moves no hit and keeps the sum of a batch from overflowing.
+    """
+    batch = int(q * size + 4.0 * (q * size) ** 0.5) + 1
+    pos, hits = -1, []
+    while pos < size:
+        at = pos + np.cumsum(np.minimum(rng.geometric(q, batch), size + 1))
+        pos = int(at[-1])
+        hits.append(at[: np.searchsorted(at, size)])
+    return np.concatenate(hits)
+
+
+class EdgeSampler:
+    """Perfect-measurement errors: edge ``e`` flips with ``probability[e]``.
+
+    Each distinct probability is one class, sampled in ascending order by
+    ``geometric_hits`` over its flat (trial, edge) indices: a toric graph
+    has one class, a rotated graph two (``p``, and about ``2p`` where a
+    boundary pair of qubits merges into one edge).
+    """
+
+    def __init__(self, probability: np.ndarray):
+        q, cls = np.unique(probability, return_inverse=True)
+        self._classes = [(float(x), np.flatnonzero(cls == k)) for k, x in enumerate(q) if x > 0.0]
+
+    def sample_block(self, rng: np.random.Generator, trials: int) -> tuple[np.ndarray, np.ndarray]:
+        """The flips of ``trials`` consecutive trials, drawn from one stream,
+        as parallel (trial, edge id) arrays grouped by class."""
+        trial, edge = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for q, idx in self._classes:
+            i, j = np.divmod(geometric_hits(rng, q, trials * idx.size), idx.size)
+            trial.append(i)
+            edge.append(idx[j])
+        return np.concatenate(trial), np.concatenate(edge)
+
+
 class FaultBlock(NamedTuple):
     """The faults of ``trials`` consecutive trials as parallel int arrays,
     one entry per fault, sorted by (trial, round, census index)."""
@@ -167,7 +216,7 @@ class FaultSampler:
 
     Each probability class, ``p`` (prep, wait, CNOT) and ``2p/3`` (measure),
     is one Bernoulli field over its flat (trial, round, location) indices,
-    sampled exactly by geometric gaps from hit to hit.  The hits, merged in
+    sampled by ``geometric_hits``.  The hits, merged in
     (trial, round, census index) order, then draw one uniform number each;
     ``u`` picks choice ``int(u * n_choices)``.
     """
@@ -183,25 +232,12 @@ class FaultSampler:
                 self._classes.append((q, np.array(idx, dtype=np.int64)))
 
     def sample_block(self, rng: np.random.Generator, trials: int) -> FaultBlock:
-        """The faults of ``trials`` consecutive trials, drawn from one stream.
-
-        Per class, the gaps come in batches of the mean hit count over the
-        block plus four deviations, until the position passes the end; a gap
-        past the end is clipped to it, which moves no hit and keeps the sum
-        of a batch from overflowing.
-        """
+        """The faults of ``trials`` consecutive trials, drawn from one stream."""
         span = self.rounds * len(self.census)   # sort keys of one trial
         keys = []
         for q, idx in self._classes:
-            size = trials * self.rounds * idx.size
-            batch = int(q * size + 4.0 * (q * size) ** 0.5) + 1
-            pos = -1
-            while pos < size:
-                at = pos + np.cumsum(np.minimum(rng.geometric(q, batch), size + 1))
-                pos = int(at[-1])
-                at = at[: np.searchsorted(at, size)]
-                row, j = np.divmod(at, idx.size)   # row = trial * rounds + round
-                keys.append(row * len(self.census) + idx[j])
+            row, j = np.divmod(geometric_hits(rng, q, trials * self.rounds * idx.size), idx.size)
+            keys.append(row * len(self.census) + idx[j])   # row = trial * rounds + round
         key = np.sort(np.concatenate(keys)) if keys else np.zeros(0, dtype=np.int64)
         trial, rest = np.divmod(key, span)
         t, j = np.divmod(rest, len(self.census))

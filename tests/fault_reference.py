@@ -9,21 +9,21 @@ templates.  The templates come from the sparse reference propagator in
 over the flat (trial, round, location) index of ``trials`` consecutive
 trials; with ``trials=1`` it is the old one-trial sampler, draw for draw.
 
-``edge_sampler`` is the same for the perfect-measurement mode: one trial's
-edge flips from its own stream, turned into a syndrome edge by edge.
+``reference_edge_sample`` is the same for the perfect-measurement mode:
+geometric gaps taken one by one over the flat (trial, edge) index of each
+edge-probability class, and ``edge_errors`` turns a trial's flips into a
+syndrome edge by edge.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Iterable
-
-import numpy as np
 
 from frame_reference import reference_templates
 from lazyqec.code_model import CheckBasis, CodeLayout, build_schedule
+from lazyqec.experiments import BLOCK
 from lazyqec.graph import DecodingGraph, Syndrome, Vertex
-from lazyqec.noise import FaultEvent, FaultLocation, LocationKind
+from lazyqec.noise import FaultEvent, FaultLocation, LocationKind, make_rng
 
 _TEMPLATES: dict = {}
 
@@ -93,14 +93,39 @@ def reference_obs(graph: DecodingGraph, events: Iterable[FaultEvent]) -> int:
     return mask
 
 
-def edge_errors(graph: DecodingGraph, probs: np.ndarray, rng) -> tuple[Syndrome, int]:
-    """One perfect-measurement trial: each edge flips with its probability;
-    returns the syndrome and logical-flip mask of the flipped edges."""
-    hits = np.flatnonzero(rng.random(probs.size) < probs).tolist()
+def reference_edge_sample(probs: list[float], rng, trials: int) -> list[list[int]]:
+    """The edge flips of ``trials`` consecutive trials drawn from ``rng``,
+    one list of edge ids per trial; edge ``e`` flips with ``probs[e]``.  The
+    probability classes are taken in ascending order."""
+    out: list[list[int]] = [[] for _ in range(trials)]
+    for q in sorted(set(probs)):
+        idx = [e for e, x in enumerate(probs) if x == q]
+        n = len(idx) * trials
+        if not (q > 0.0 and n):
+            continue
+        batch = int(q * n + 4.0 * (q * n) ** 0.5) + 1
+        pos = -1   # skip from hit to hit by geometric gaps, a batch at a time
+        while pos < n:
+            for gap in rng.geometric(q, batch).tolist():
+                pos += gap
+                if pos >= n:
+                    break
+                i, j = divmod(pos, len(idx))
+                out[i].append(idx[j])
+    return out
+
+
+def perfect_trials(graph: DecodingGraph, seed: int, trials: int) -> list[list[int]]:
+    """The edge flips of a perfect-measurement campaign's trials ``0 ..
+    trials-1``: block ``b`` drawn whole from the stream ``(seed, b)``, the
+    last block truncated."""
+    probs = [graph.edge(eid).probability for eid in range(graph.n_edges)]
+    out: list[list[int]] = []
+    for b in range(-(-trials // BLOCK)):
+        out += reference_edge_sample(probs, make_rng(seed, b), BLOCK)
+    return out[:trials]
+
+
+def edge_errors(graph: DecodingGraph, hits: list[int]) -> tuple[Syndrome, int]:
+    """The syndrome and logical-flip mask of one trial's flipped edges."""
     return Syndrome(graph.correction_syndrome(hits)), graph.obs_of_edges(hits)
-
-
-def edge_sampler(graph: DecodingGraph):
-    """``edge_errors`` on ``graph``: call it with a trial's ``trial_rng``."""
-    probs = np.array([graph.edge(eid).probability for eid in range(graph.n_edges)])
-    return partial(edge_errors, graph, probs)

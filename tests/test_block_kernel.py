@@ -1,15 +1,32 @@
-"""The block fault sampler and syndrome kernel against the scalar reference,
-and the block structure of the campaigns' trial runner."""
+"""The block fault and edge samplers and the syndrome kernel against the
+scalar reference, and the block structure of the campaigns' trial runner."""
 
 import pytest
 
-from fault_reference import reference_obs, reference_sample, reference_syndrome
+from fault_reference import (
+    edge_errors,
+    reference_edge_sample,
+    reference_obs,
+    reference_sample,
+    reference_syndrome,
+)
 from lazyqec import experiments
-from lazyqec.code_model import CheckBasis, build_rotated_surface_code, build_schedule
+from lazyqec.code_model import (
+    CheckBasis,
+    build_rotated_surface_code,
+    build_schedule,
+    build_toric_code,
+)
 from lazyqec.decoders import DecoderKind
-from lazyqec.experiments import BLOCK, _p_fail_block, _run_trials, estimate_logical_error
-from lazyqec.graph import build_decoding_graph
-from lazyqec.noise import FaultSampler, NoiseMode, NoiseParams, make_rng
+from lazyqec.experiments import (
+    BLOCK,
+    _edge_block,
+    _p_fail_block,
+    _run_trials,
+    estimate_logical_error,
+)
+from lazyqec.graph import build_decoding_graph, build_perfect_graph
+from lazyqec.noise import EdgeSampler, FaultSampler, NoiseMode, NoiseParams, make_rng
 
 SEED = 29
 TRIALS_PER_CASE = 48
@@ -62,6 +79,30 @@ def test_block_kernel_matches_scalar_reference(graphs, d, basis, closed, p, bloc
             assert graph.obs_of_faults(want[0]) == obs[0]
         faults_seen += faults.trial.size
     assert faults_seen > 0
+
+
+@pytest.mark.parametrize("block", [1, 7, 256])
+@pytest.mark.parametrize("p", [1e-3, 3e-2])
+@pytest.mark.parametrize("layout", [build_toric_code(4), build_rotated_surface_code(5)],
+                         ids=["toric4", "rotated5"])
+def test_edge_sampler_matches_scalar_reference(layout, p, block):
+    graph = build_perfect_graph(layout, NoiseParams(p, NoiseMode.PERFECT_MEASUREMENT))
+    sampler = EdgeSampler(graph.probability)
+    probs = [graph.edge(eid).probability for eid in range(graph.n_edges)]
+    flips_seen = 0
+    for b in range(-(-TRIALS_PER_CASE // block)):
+        trial, edge = sampler.sample_block(make_rng(SEED, b), block)
+        want = reference_edge_sample(probs, make_rng(SEED, b), block)
+        assert [sorted(edge[trial == i].tolist()) for i in range(block)] == \
+            [sorted(hits) for hits in want]
+        # a campaign samples a whole block and truncates it
+        keys, obs = _edge_block(graph, sampler, SEED, b * BLOCK, b * BLOCK + block)
+        full = reference_edge_sample(probs, make_rng(SEED, b), BLOCK)[:block]
+        errors = [edge_errors(graph, hits) for hits in full]
+        assert graph.key_syndromes(keys, range(block)) == [s for s, _ in errors]
+        assert obs.tolist() == [o for _, o in errors]
+        flips_seen += trial.size
+    assert flips_seen > 0
 
 
 def test_one_trial_views_reject_a_fault_off_the_census(graphs):

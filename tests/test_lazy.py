@@ -4,7 +4,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from fault_reference import edge_sampler
+from fault_reference import edge_errors, perfect_trials
 from lazyqec.code_model import CheckBasis, build_rotated_surface_code, build_schedule
 from lazyqec.decoders import mwpm_decode, uf_decode
 from lazyqec.graph import (
@@ -285,8 +285,7 @@ def _perfect_syndromes(d, p, n, seed):
     g = build_perfect_graph(
         build_rotated_surface_code(d), NoiseParams(p, NoiseMode.PERFECT_MEASUREMENT)
     )
-    sample = edge_sampler(g)
-    return g, [sample(trial_rng(seed, i))[0].defects for i in range(n)]
+    return g, [edge_errors(g, hits)[0].defects for hits in perfect_trials(g, seed, n)]
 
 
 def test_stream_equals_batch_on_real_graph():

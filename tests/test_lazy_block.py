@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from fault_reference import edge_sampler, reference_sample, reference_syndrome
+from fault_reference import edge_errors, perfect_trials, reference_sample, reference_syndrome
 from lazyqec import experiments
 from lazyqec.code_model import (
     CheckBasis,
@@ -19,7 +19,7 @@ from lazyqec.decoders import DecoderKind, decode
 from lazyqec.experiments import BLOCK, estimate_logical_error, estimate_p_fail
 from lazyqec.graph import build_decoding_graph, build_perfect_graph, make_graph
 from lazyqec.lazy import BLOCK_FAILURES, lazy_block, lazy_decode
-from lazyqec.noise import FaultSampler, NoiseMode, NoiseParams, make_rng, trial_rng
+from lazyqec.noise import FaultSampler, NoiseMode, NoiseParams, make_rng
 
 SEED = 41
 
@@ -91,8 +91,7 @@ def test_circuit_windows(circuit_graphs, d, basis, closed, p):
 )
 def test_perfect_measurement_graphs(layout, p, trials):
     graph = build_perfect_graph(layout, NoiseParams(p, NoiseMode.PERFECT_MEASUREMENT))
-    sample = edge_sampler(graph)
-    defects = [sample(trial_rng(SEED, i))[0].defects for i in range(trials)]
+    defects = [edge_errors(graph, hits)[0].defects for hits in perfect_trials(graph, SEED, trials)]
     assert_matches_scalar(graph, keys_of(graph, []), 0)
     assert_matches_scalar(graph, keys_of(graph, defects[:1]), 1)
     assert_matches_scalar(graph, keys_of(graph, defects[1:8]), 7)
@@ -139,8 +138,9 @@ def trial_results(monkeypatch, estimate, **kw) -> list[bool]:
         seen.extend(out)
         return out
 
-    monkeypatch.setattr(experiments, "_run_trials", record)
-    est = estimate(**kw)
+    with monkeypatch.context() as patch:   # undone on exit: later calls record only their own
+        patch.setattr(experiments, "_run_trials", record)
+        est = estimate(**kw)
     assert est.point == sum(seen) / len(seen)
     return seen
 
@@ -161,14 +161,26 @@ def test_p_fail_campaign_matches_scalar_loop(monkeypatch, seed):
     assert 0 < sum(want) < trials
 
 
+def test_perfect_logical_campaign_does_not_depend_on_trial_or_worker_count(monkeypatch):
+    kw = dict(decoder_kind=DecoderKind.LAZY_MWPM, p=4e-2, d=6, seed=9,
+              layout_kind=CodeKind.TORIC_2D)
+    long = trial_results(monkeypatch, estimate_logical_error, **kw, trials=2 * BLOCK, workers=1)
+    for workers in (1, 2):
+        short = trial_results(monkeypatch, estimate_logical_error, **kw, trials=BLOCK + 90,
+                              workers=workers)
+        assert short == long[:BLOCK + 90]
+    assert trial_results(monkeypatch, estimate_logical_error, **kw, trials=2 * BLOCK,
+                         workers=2) == long
+    assert 0 < sum(long[:BLOCK + 90]) < BLOCK + 90
+
+
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_perfect_logical_campaign_matches_scalar_loop(monkeypatch, seed):
     p, d, trials = 4e-2, 6, BLOCK + 90
     graph = build_perfect_graph(build_toric_code(d), NoiseParams(p, NoiseMode.PERFECT_MEASUREMENT))
-    sample = edge_sampler(graph)
     want, fallbacks = [], 0
-    for i in range(trials):
-        syndrome, error_obs = sample(trial_rng(seed, i))
+    for hits in perfect_trials(graph, seed, trials):
+        syndrome, error_obs = edge_errors(graph, hits)
         record = decode(graph, syndrome, DecoderKind.LAZY_UNION_FIND)
         assert record.lazy_outcome == lazy_decode(graph, syndrome)
         fallbacks += record.used_fallback

@@ -6,16 +6,16 @@ rule it replaced: map every edge back to its data qubit, form the residual
 qubit frame of error plus correction, and ask `is_logical_failure`.
 """
 
-import numpy as np
 import pytest
 
+from fault_reference import perfect_trials
 from lazyqec import experiments
 from lazyqec.code_model import CheckBasis, CodeKind
 from lazyqec.decoders import DecoderKind, decode
 from lazyqec.experiments import _build_layout, estimate_logical_error
 from lazyqec.graph import Syndrome, build_perfect_graph, is_logical_failure
 from lazyqec.lazy import lazy_decode
-from lazyqec.noise import NoiseMode, NoiseParams, trial_rng
+from lazyqec.noise import NoiseMode, NoiseParams
 
 P = 0.05
 TRIALS = 1000
@@ -47,11 +47,9 @@ def reference_verdicts(layout_kind, d, kind, seed, trials) -> list[bool]:
     layout = _build_layout(layout_kind, d)
     graph = build_perfect_graph(layout, NoiseParams(P, NoiseMode.PERFECT_MEASUREMENT))
     qubit = qubit_of_edge(layout, graph)
-    probs = np.array([graph.edge(eid).probability for eid in range(graph.n_edges)])
     checks = layout.checks(CheckBasis.X)
     out = []
-    for i in range(trials):
-        hits = np.flatnonzero(trial_rng(seed, i).random(probs.size) < probs)
+    for hits in perfect_trials(graph, seed, trials):
         error = {qubit[eid] for eid in hits}
         syndrome = Syndrome.of(
             (p.basis_index, 0) for p in checks if len(error & set(p.support)) % 2

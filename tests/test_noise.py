@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from lazyqec.code_model import build_rotated_surface_code, build_schedule
+from lazyqec.experiments import BLOCK
+from lazyqec.graph import build_perfect_graph
 from lazyqec.noise import (
+    EdgeSampler,
     FaultEvent,
     FaultSampler,
     LocationKind,
+    NoiseMode,
     NoiseParams,
     TWO_QUBIT_PAULIS,
     make_rng,
@@ -208,6 +212,26 @@ def test_sampler_hits_sorted_by_round_then_census_index(d3_hits):
     _, faults = d3_hits
     keys = [(ev.round, ev.location.index) for ev in faults]
     assert keys == sorted(set(keys))
+
+
+def test_edge_sampler_class_counts():
+    """Perfect-measurement flips on the rotated d=5 graph at p=0.05, over 16
+    campaign blocks: lone qubits flip with 0.05, merged boundary pairs with
+    0.095, and each class's count is binomial over its (trial, edge) sites."""
+    graph = build_perfect_graph(
+        build_rotated_surface_code(5), NoiseParams(0.05, NoiseMode.PERFECT_MEASUREMENT))
+    probs = graph.probability
+    sampler = EdgeSampler(probs)
+    blocks = [sampler.sample_block(make_rng(31, b), BLOCK) for b in range(16)]
+    for trial, edge in blocks:
+        assert np.unique(trial * probs.size + edge).size == trial.size   # one flip per site
+    edges = np.concatenate([edge for _, edge in blocks])
+    classes = [np.isclose(probs, q) for q in (0.05, 0.095)]
+    assert sum(c.sum() for c in classes) == probs.size and all(c.any() for c in classes)
+    for q, in_class in zip((0.05, 0.095), classes):
+        n = 16 * BLOCK * int(in_class.sum())
+        k = int(in_class[edges].sum())
+        assert abs(k - n * q) < 5 * np.sqrt(n * q * (1 - q)), (q, k, n)
 
 
 def test_sampler_p_one_hits_every_location():

@@ -17,6 +17,21 @@ Two interchangeable fallback decoders operate on the same decoding graph:
   networkx blossom runs with boundary mirrors joined only along kept pairs.
   The complete defect graph is never built.
 
+A defect's pruned search depends only on its vertex, so MWPM keeps the
+searches in a store (``searches=``, a plain dict that belongs to one graph),
+one resumable Dijkstra per source vertex: a later window with a defect at the
+same vertex goes on from where the last one paused, and reads the partners
+the search already reached without popping anything.  Corrections do not
+depend on the store's contents.  ``estimate_logical_error`` keeps one store
+per call and per worker; a call without one runs on a fresh store it throws
+away, which is exactly one window's work, and leaves nothing on the graph.  A
+store holds at most one search per vertex, each ``V`` distance slots (a float
+for every vertex it reached) and ``V`` predecessor slots, so it is bounded by
+``O(V**2)``, about 17 B per vertex per search: after a lazy+MWPM campaign at
+p=1e-3 on closed windows (rotated code, 12,000 trials) it held 2.8 MB at d=9
+(400 vertices, 81 reached per search), 8.8 MB at d=11 and, after 6,000
+trials, 53 MB at d=15.
+
 ``hierarchical_decode`` tries the lazy pre-decoder first and only hands the
 syndrome to the fallback when the pre-decoder reports failure.
 """
@@ -26,6 +41,9 @@ from __future__ import annotations
 import enum
 import heapq
 import math
+import operator
+import sys
+from array import array
 from typing import NamedTuple
 
 import networkx as nx
@@ -81,12 +99,15 @@ class _Dsu:
         return True
 
 
-def uf_decode(graph: DecodingGraph, syndrome: Syndrome) -> frozenset[int]:
+def uf_decode(graph: DecodingGraph, syndrome: Syndrome, *,
+              searches: Searches | None = None) -> frozenset[int]:
     """Union-Find decoding: returns edge ids whose incidence XOR reproduces
     the syndrome.  Raises if a component has odd parity and no boundary.
     Vertices are ids (see ``DecodingGraph``); the boundary, -1, is one virtual
     vertex absorbing every half-edge, and a cluster containing it is always
-    satisfied regardless of parity."""
+    satisfied regardless of parity.  ``searches`` is ignored: Union-Find
+    keeps nothing between windows, and takes it only to share the fallbacks'
+    signature."""
     if not syndrome.defects:
         return frozenset()
     defects = graph.vertex_ids(syndrome.defects)
@@ -200,21 +221,42 @@ def _peel(ends: list[list[int]], defects: set[int], grown: set[int]) -> frozense
 
 _UNMATCHABLE = "defects could not be perfectly matched"
 
+# The resumable searches of one graph, by source vertex id: the distance and
+# the predecessor edge id per vertex id, and the heap of (distance, vertex id)
+# entries still to pop.
+Searches = dict[int, tuple[list[float], array, list[tuple[float, int]]]]
 
-def mwpm_decode(graph: DecodingGraph, syndrome: Syndrome) -> frozenset[int]:
+
+def mwpm_decode(graph: DecodingGraph, syndrome: Syndrome, *,
+                searches: Searches | None = None) -> frozenset[int]:
     """Exact minimum-weight matching of the defects, each defect free to
-    match the boundary instead when the graph has half-edges."""
-    return _mwpm(graph, syndrome)[0]
+    match the boundary instead when the graph has half-edges.
+
+    ``searches`` is a store of resumable per-vertex searches (see the module
+    docstring) that belongs to this graph; a window resumes the searches a
+    previous window left there.  Without it the call runs on a fresh store it
+    throws away.  The correction is the same either way."""
+    return _mwpm(graph, syndrome, searches)[0]
 
 
-def mwpm_matching_weight(graph: DecodingGraph, syndrome: Syndrome) -> float:
+def mwpm_matching_weight(graph: DecodingGraph, syndrome: Syndrome, *,
+                         searches: Searches | None = None) -> float:
     """Total path weight of the optimal matching (before path cancellation)."""
-    return _mwpm(graph, syndrome)[1]
+    return _mwpm(graph, syndrome, searches)[1]
 
 
-def _near_pairs(adj, ids: list[int], b: list[float]):
+# A search's predecessor edge id per vertex id: four bytes a vertex, against
+# about 37 for a dict entry.  An unreached vertex holds an id past every edge,
+# so a path walked from it raises instead of wandering.
+_NO_PRED = array("i", [2**31 - 1])
+# sorts one defect's pairs (i, j, D_ij) by (D_ij, j)
+_POP_ORDER = operator.itemgetter(2, 1)
+
+
+def _near_pairs(adj, ids: list[int], b: list[float], searches: Searches):
     """Every defect pair with ``D_ij < b_i + b_j``, as ``(i, j, D_ij)`` with
-    ``i < j``, and the predecessor map of each defect's search.
+    ``i < j`` in (i, D_ij, j) order, and the predecessor edge ids (per vertex
+    id) of each defect's search.
 
     One Dijkstra runs from each defect but the last.  It never pushes a vertex
     ``u`` at distance ``nd >= b_i + b[u]``: a pair path through ``u`` then
@@ -222,46 +264,73 @@ def _near_pairs(adj, ids: list[int], b: list[float]):
     a kept pair's shortest path still gets its exact distance.  It stops once
     every later defect is settled, or once the popped distance reaches
     ``b_i`` plus the largest ``b_j`` of the later defects not yet settled.
+
+    That pruning depends on the source alone, so ``searches`` keeps each
+    source's search, ``(dist, pred, heap)``, and a later window resumes it.
+    The entry a search stops at goes back on its heap unrelaxed, so a resumed
+    search pops what a search never paused pops.  A later defect whose
+    distance is at most the heap top is final, as no weight is negative, and
+    settles before any pop.  Sorting each defect's pairs makes the order
+    independent of where earlier windows paused; with positive weights it is
+    the order a search pops them.
     """
     heappop, heappush = heapq.heappop, heapq.heappush
     n, n_vertices = len(ids), len(adj)
     slot = {v: i for i, v in enumerate(ids)}
     pairs: list[tuple[int, int, float]] = []
-    preds: list[dict[int, tuple[int, int]]] = []
+    preds: list[array] = []
     for i in range(n - 1):
         src, bi = ids[i], b[i]
-        later = sorted(range(i + 1, n), key=b.__getitem__, reverse=True)
-        settled = set()
-        top = 0
-        bound = bi + b[later[0]]
-        dist = [math.inf] * n_vertices
-        dist[src] = 0.0
-        pred: dict[int, tuple[int, int]] = {}
-        heap = [(0.0, src)]
-        while heap:
-            d, v = heappop(heap)
-            if d >= bound:
-                break
-            if d > dist[v]:
-                continue
-            j = slot.get(v, -1)
-            if j > i:
-                pairs.append((i, j, d))
-                settled.add(j)
-                if len(settled) == len(later):
+        search = searches.get(src)
+        if search is None:
+            dist = [math.inf] * n_vertices
+            dist[src] = 0.0
+            pred = _NO_PRED * n_vertices
+            heap = [(0.0, src)]
+            searches[src] = (dist, pred, heap)
+            found: list[tuple[int, int, float]] = []
+            settled = set()
+        else:
+            dist, pred, heap = search
+            # with the heap empty every finite distance is final
+            top_d = heap[0][0] if heap else sys.float_info.max
+            found = [(i, j, dist[ids[j]]) for j in range(i + 1, n) if dist[ids[j]] <= top_d]
+            settled = {j for _, j, _ in found}
+        if len(found) < n - 1 - i:
+            later = sorted(range(i + 1, n), key=b.__getitem__, reverse=True)
+            top = 0
+            while later[top] in settled:
+                top += 1
+            bound = bi + b[later[top]]
+            while heap:
+                d, v = heappop(heap)
+                if d >= bound:
+                    heappush(heap, (d, v))
                     break
-                while later[top] in settled:
-                    top += 1
-                bound = bi + b[later[top]]
-            # push u only at nd = d + w < bi + bdist[u], i.e. d - bi < slack
-            room = d - bi
-            for u, w, eid, slack in adj[v]:
-                if room < slack:
-                    nd = d + w
-                    if nd < dist[u]:
-                        dist[u] = nd
-                        pred[u] = (v, eid)
-                        heappush(heap, (nd, u))
+                if d > dist[v]:
+                    continue
+                j = slot.get(v, -1)
+                if j > i and j not in settled:
+                    found.append((i, j, d))
+                    settled.add(j)
+                    if len(settled) == len(later):
+                        heappush(heap, (d, v))
+                        break
+                    while later[top] in settled:
+                        top += 1
+                    bound = bi + b[later[top]]
+                # push u only at nd = d + w < bi + bdist[u], i.e. d - bi < slack
+                room = d - bi
+                for u, w, eid, slack in adj[v]:
+                    if room < slack:
+                        nd = d + w
+                        if nd < dist[u]:
+                            dist[u] = nd
+                            pred[u] = eid
+                            heappush(heap, (nd, u))
+        if len(found) > 1:
+            found.sort(key=_POP_ORDER)
+        pairs += found
         preds.append(pred)
     return pairs, preds
 
@@ -393,7 +462,8 @@ def _blossom(n: int, comp: list[int], pairs, b: list[float], has_boundary: bool)
     return mate
 
 
-def _mwpm(graph: DecodingGraph, syndrome: Syndrome) -> tuple[frozenset[int], float]:
+def _mwpm(graph: DecodingGraph, syndrome: Syndrome,
+          searches: Searches | None) -> tuple[frozenset[int], float]:
     ids = sorted(graph.vertex_ids(syndrome.defects))
     n = len(ids)
     if n == 0:
@@ -404,23 +474,27 @@ def _mwpm(graph: DecodingGraph, syndrome: Syndrome) -> tuple[frozenset[int], flo
     adj, bdist, bstep = graph.matching_index
     b = [bdist[v] for v in ids]
 
-    pairs, preds = _near_pairs(adj, ids, b)
-    mate: dict[int, int] = {}
-    for comp, comp_pairs in _components(n, pairs):
-        if len(comp) == 1:
-            if b[comp[0]] == math.inf:
-                raise ValueError(_UNMATCHABLE)
-            mate[comp[0]] = -1
-        elif len(comp) == 2:
-            i, j, _ = comp_pairs[0]
-            mate[i], mate[j] = j, i
-        else:   # the DP gives None above its state bound
-            mate.update(_subset_dp(comp, comp_pairs, b)
-                        or _blossom(n, comp, comp_pairs, b, has_boundary))
+    pairs, preds = _near_pairs(adj, ids, b, {} if searches is None else searches)
+    if n == 2 and pairs:    # most windows: one kept pair, their own component
+        mate = {0: 1, 1: 0}
+    else:
+        mate = {}
+        for comp, comp_pairs in _components(n, pairs):
+            if len(comp) == 1:
+                if b[comp[0]] == math.inf:
+                    raise ValueError(_UNMATCHABLE)
+                mate[comp[0]] = -1
+            elif len(comp) == 2:
+                i, j, _ = comp_pairs[0]
+                mate[i], mate[j] = j, i
+            else:   # the DP gives None above its state bound
+                mate.update(_subset_dp(comp, comp_pairs, b)
+                            or _blossom(n, comp, comp_pairs, b, has_boundary))
     if len(mate) < n:
         raise ValueError(_UNMATCHABLE)
 
     pair_d = {(i, j): d for i, j, d in pairs}
+    ends = graph.scalar_view.edge_ends
     correction: set[int] = set()
     total = 0.0
     for i, j in mate.items():
@@ -434,8 +508,10 @@ def _mwpm(graph: DecodingGraph, syndrome: Syndrome) -> tuple[frozenset[int], flo
             total += pair_d[i, j]
             pred, src, v = preds[i], ids[i], ids[j]
             while v != src:
-                v, eid = pred[v]
+                eid = pred[v]
                 correction.symmetric_difference_update((eid,))
+                a, c = ends[eid]
+                v = a + c - v
     return frozenset(correction), total
 
 
@@ -451,13 +527,15 @@ def hierarchical_decode(
     graph: DecodingGraph,
     syndrome: Syndrome,
     fallback: DecoderKind = DecoderKind.UNION_FIND,
+    *,
+    searches: Searches | None = None,
 ) -> DecodeRecord:
     """Lazy pre-decoder first; on failure the whole original syndrome goes to
-    the fallback decoder."""
+    the fallback decoder, with ``searches`` (see ``mwpm_decode``)."""
     outcome = lazy_decode(graph, syndrome)
     if outcome.failure is None:
         return DecodeRecord(outcome.correction, False, outcome)
-    correction = _FALLBACKS[fallback](graph, syndrome)
+    correction = _FALLBACKS[fallback](graph, syndrome, searches=searches)
     return DecodeRecord(correction, True, outcome)
 
 
@@ -468,16 +546,20 @@ _UNION_FIND, _MWPM = DecoderKind.UNION_FIND, DecoderKind.MWPM
 _LAZY_UNION_FIND, _LAZY_MWPM = DecoderKind.LAZY_UNION_FIND, DecoderKind.LAZY_MWPM
 
 
-def decode(graph: DecodingGraph, syndrome: Syndrome, kind: DecoderKind) -> DecodeRecord:
-    """Run one decoder configuration on a syndrome."""
+def decode(graph: DecodingGraph, syndrome: Syndrome, kind: DecoderKind, *,
+           searches: Searches | None = None) -> DecodeRecord:
+    """Run one decoder configuration on a syndrome.  MWPM, alone or as the
+    fallback, resumes the searches of the store ``searches`` of this graph
+    (see ``mwpm_decode``); without it, it runs on a fresh store it throws
+    away, and does the work of one window alone."""
     if kind is _UNION_FIND:
         return DecodeRecord(uf_decode(graph, syndrome))
     if kind is _LAZY_UNION_FIND:
         return hierarchical_decode(graph, syndrome, _UNION_FIND)
     if kind is _LAZY_MWPM:
-        return hierarchical_decode(graph, syndrome, _MWPM)
+        return hierarchical_decode(graph, syndrome, _MWPM, searches=searches)
     if kind is _MWPM:
-        return DecodeRecord(mwpm_decode(graph, syndrome))
+        return DecodeRecord(mwpm_decode(graph, syndrome, searches=searches))
     outcome = lazy_decode(graph, syndrome)
     if outcome.failure is not None:
         raise ValueError(f"lazy decoder failed without a fallback: {outcome.failure}")

@@ -10,7 +10,8 @@ partial block is sampled whole and truncated, so a trial's outcome depends
 neither on the worker count, nor on scheduling order, nor on the number of
 trials.  The lazy rule runs on a whole block at once (``lazy.lazy_block``);
 only its failures, and the trials of the decoders without a lazy stage, are
-decoded one by one.  Rates come with Wilson 95% intervals; a run with zero
+decoded one by one, and one ``edge_syndromes`` call checks all of a block's
+corrections.  Rates come with Wilson 95% intervals; a run with zero
 observed failures reports the rule-of-three upper bound 3/n and is marked
 censored.
 """
@@ -193,35 +194,36 @@ _LAZY_KINDS = (DecoderKind.LAZY, DecoderKind.LAZY_UNION_FIND, DecoderKind.LAZY_M
 def _logical_block(payload, seed, lo, hi) -> list[bool]:
     """Per-trial logical failures of trials ``lo .. hi-1``.  The lazy
     configurations run the lazy rule on the whole block; only its failures,
-    and every trial of the other decoders, are decoded one by one."""
-    graph, sample, kind = payload
+    and every trial of the other decoders, are decoded one by one, MWPM on the
+    campaign's store of searches.  One ``edge_syndromes`` call then checks
+    every correction of the block against its trial's syndrome and gives the
+    corrections' logical-flip masks."""
+    graph, sample, kind, searches = payload
     keys, obs = sample(seed, lo, hi)
     n = hi - lo
-    if kind not in _LAZY_KINDS:
-        return [_logical_verdict(graph, kind, s, error_obs)
-                for s, error_obs in zip(graph.key_syndromes(keys, range(n)), obs.tolist())]
-    out = lazy_block(graph, keys, n)
-    ok = out.failure == 0
-    fixed, fixed_obs = graph.edge_syndromes(out.trial, out.edge, n)
-    if not np.array_equal(fixed, keys[ok[keys // graph.int_view.n_v]]):
+    if kind in _LAZY_KINDS:
+        out = lazy_block(graph, keys, n)
+        solved = out.failure == 0
+        trial, edge = out.trial, out.edge
+    else:
+        solved = np.zeros(n, dtype=bool)
+        trial = edge = keys[:0]
+    if kind is not DecoderKind.LAZY:
+        failed = np.flatnonzero(~solved).tolist()
+        at: list[int] = []
+        eids: list[int] = []
+        for i, syndrome in zip(failed, graph.key_syndromes(keys, failed)):
+            correction = decode(graph, syndrome, kind, searches=searches).correction
+            at += [i] * len(correction)
+            eids += correction
+        trial = np.concatenate([trial, np.array(at, dtype=np.int64)])
+        edge = np.concatenate([edge, np.array(eids, dtype=np.int64)])
+        solved[failed] = True
+    fixed, fixed_obs = graph.edge_syndromes(trial, edge, n)
+    if not np.array_equal(fixed, keys[solved[keys // graph.int_view.n_v]]):
         raise ValueError("correction does not reproduce the syndrome")
     # a failure of the pre-decoder alone counts as a logical failure
-    verdicts = ((obs ^ fixed_obs) != 0) | ~ok
-    if kind is not DecoderKind.LAZY:
-        failed = np.flatnonzero(~ok).tolist()
-        for i, syndrome in zip(failed, graph.key_syndromes(keys, failed)):
-            verdicts[i] = _logical_verdict(graph, kind, syndrome, int(obs[i]))
-    return verdicts.tolist()
-
-
-def _logical_verdict(graph: DecodingGraph, kind: DecoderKind, syndrome: Syndrome,
-                     error_obs: int) -> bool:
-    """Decode one window's syndrome and compare the logical-flip masks of
-    error and correction."""
-    correction = decode(graph, syndrome, kind).correction
-    if graph.correction_syndrome(correction) != syndrome.defects:
-        raise ValueError("correction does not reproduce the syndrome")
-    return (error_obs ^ graph.obs_of_edges(correction)) != 0
+    return (((obs ^ fixed_obs) != 0) | ~solved).tolist()
 
 
 def estimate_logical_error(
@@ -242,7 +244,9 @@ def estimate_logical_error(
     window of d noisy rounds plus one noiseless closing round (rotated layout
     by default).  Either way a trial fails when the logical flips of error
     and correction differ; a correction that does not reproduce the syndrome
-    raises ``ValueError``.
+    raises ``ValueError``.  MWPM, alone or as the fallback, resumes its
+    per-vertex searches from window to window for the whole call (see
+    ``decoders``); results do not depend on it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -262,7 +266,11 @@ def estimate_logical_error(
             drop_initial=False, noisy_rounds=d,
         )
         sample = partial(_fault_block, graph, FaultSampler(graph.census, graph.noisy_rounds, p))
-    results = _run_trials(_logical_block, (graph, sample, decoder_kind), seed, trials, workers)
+    # MWPM's searches, resumed from window to window of this call; each worker
+    # fills its own copy
+    searches: dict = {}
+    results = _run_trials(_logical_block, (graph, sample, decoder_kind, searches),
+                          seed, trials, workers)
     return estimate_from_counts(sum(results), trials, seed)
 
 
@@ -289,7 +297,14 @@ def benchmark_runtime(
     ``estimate_logical_error`` with the same seed, sampled block by block
     from the streams ``(seed, b)``.  Timings cover the decode call only.
     Each syndrome is decoded by every kind in turn, starting one kind later
-    on each syndrome, so drift in machine speed hits all kinds alike."""
+    on each syndrome, so drift in machine speed hits all kinds alike.
+
+    Every call is the stateless ``decode``: MWPM runs on a fresh store of
+    searches, the latency of a window that meets its decoder cold.  Resuming
+    searches across the stream, as ``estimate_logical_error`` does, measures
+    throughput instead: on test_09's 100,000 syndromes (toric d=20, p=1e-3)
+    one store shared by every call took MWPM's mean from 104 to 16 us, and
+    the lazy front end's speed-up over it from 22.0x to 4.2x."""
     layout = _build_layout(layout_kind, d)
     graph = build_perfect_graph(layout, NoiseParams(p, NoiseMode.PERFECT_MEASUREMENT))
     syndromes = _run_trials(_syndrome_block, (graph, EdgeSampler(graph.probability)),

@@ -94,6 +94,19 @@ def test_logical_error_circuit_level_sane():
     assert 0.0 < est.point < 0.5
 
 
+@pytest.mark.parametrize("kind", [DecoderKind.MWPM, DecoderKind.LAZY_MWPM])
+@pytest.mark.parametrize(
+    "mode, p, d",
+    [(NoiseMode.PERFECT_MEASUREMENT, 3e-2, 6), (NoiseMode.CIRCUIT_LEVEL, 3e-3, 5)],
+)
+def test_logical_error_matching_worker_independent(kind, mode, p, d):
+    # each worker resumes its own copy of the campaign's searches
+    one = estimate_logical_error(kind, p, d, trials=1500, seed=19, mode=mode)
+    two = estimate_logical_error(kind, p, d, trials=1500, seed=19, mode=mode, workers=2)
+    assert one == two
+    assert one.point > 0.0
+
+
 def test_logical_error_lazy_counts_giveups():
     # at a fixed stream the lazy-only rate dominates the hierarchical rate,
     # because every lazy give-up is booked as a failure

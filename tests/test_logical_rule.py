@@ -91,7 +91,8 @@ def package_verdicts(monkeypatch, **kw) -> list[bool]:
 )
 @pytest.mark.parametrize(
     "kind",
-    [DecoderKind.LAZY, DecoderKind.UNION_FIND, DecoderKind.MWPM, DecoderKind.LAZY_UNION_FIND],
+    [DecoderKind.LAZY, DecoderKind.UNION_FIND, DecoderKind.MWPM, DecoderKind.LAZY_UNION_FIND,
+     DecoderKind.LAZY_MWPM],
 )
 def test_mask_rule_matches_residual_frames(monkeypatch, layout_kind, d, kind):
     got = package_verdicts(
@@ -108,8 +109,8 @@ def test_mask_rule_matches_residual_frames(monkeypatch, layout_kind, d, kind):
     [(NoiseMode.PERFECT_MEASUREMENT, P, 4), (NoiseMode.CIRCUIT_LEVEL, 5e-3, 3)],
 )
 def test_correction_that_misses_the_syndrome_raises(monkeypatch, mode, p, d):
-    def lossy(graph, syndrome, kind):
-        record = decode(graph, syndrome, kind)
+    def lossy(graph, syndrome, kind, **kw):
+        record = decode(graph, syndrome, kind, **kw)
         if record.correction:
             return record._replace(correction=record.correction - {min(record.correction)})
         return record

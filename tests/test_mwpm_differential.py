@@ -22,7 +22,7 @@ from lazyqec.code_model import (
     build_schedule,
     build_toric_code,
 )
-from lazyqec.decoders import mwpm_decode, mwpm_matching_weight
+from lazyqec.decoders import DecoderKind, decode, mwpm_decode, mwpm_matching_weight
 from lazyqec.graph import (
     DecodingGraph,
     Syndrome,
@@ -30,7 +30,7 @@ from lazyqec.graph import (
     build_perfect_graph,
     make_graph,
 )
-from lazyqec.noise import FaultSampler, NoiseMode, NoiseParams, make_rng
+from lazyqec.noise import EdgeSampler, FaultSampler, NoiseMode, NoiseParams, make_rng
 
 
 def _neighbors(graph):
@@ -295,7 +295,7 @@ def _assert_components_agree(graph, syndrome, sides, monkeypatch):
     adj, bdist, _ = graph.matching_index
     ids = sorted(graph.vertex_ids(syndrome.defects))
     b = [bdist[v] for v in ids]
-    pairs, _ = decoders._near_pairs(adj, ids, b)
+    pairs, _ = decoders._near_pairs(adj, ids, b, {})
     kept = {(i, j) for i, j, _ in pairs}
     for comp, comp_pairs in decoders._components(len(ids), pairs):
         if len(comp) < 3:
@@ -369,3 +369,113 @@ def test_subset_dp_equals_blossom_on_ties(monkeypatch):
             _assert_components_agree(graph, syndrome, sides, monkeypatch)
             _assert_matches_reference(graph, syndrome)
     assert set(sides) == {"dp", "blossom", "unmatchable"}
+
+
+# --- searches resumed across windows ------------------------------------------
+
+
+def _perfect_syndromes(layout, p, trials, seed):
+    """A perfect-measurement graph and its sampled syndromes with defects."""
+    graph = build_perfect_graph(layout, NoiseParams(p, NoiseMode.PERFECT_MEASUREMENT))
+    trial, edge = EdgeSampler(graph.probability).sample_block(make_rng(seed, 0), trials)
+    keys, _ = graph.edge_syndromes(trial, edge, trials)
+    return graph, [s for s in graph.key_syndromes(keys, range(trials)) if s.defects]
+
+
+def _matchings(graph, syndromes, order, searches):
+    """Correction and matching weight per syndrome, decoded in ``order`` on
+    one store of searches."""
+    out = [None] * len(syndromes)
+    for k in order:
+        out[k] = (mwpm_decode(graph, syndromes[k], searches=searches),
+                  mwpm_matching_weight(graph, syndromes[k], searches=searches))
+    return out
+
+
+@pytest.mark.parametrize(
+    "case",
+    [lambda: _circuit_syndromes(5, 3e-3, 600, 21),
+     lambda: _circuit_syndromes(7, 2e-3, 400, 22),
+     lambda: _circuit_syndromes(9, 1e-3, 300, 23),
+     lambda: _perfect_syndromes(build_toric_code(8), 3e-2, 300, 24),
+     lambda: _perfect_syndromes(build_toric_code(20), 1e-3, 1500, 25),
+     lambda: _perfect_syndromes(build_rotated_surface_code(9), 5e-2, 300, 26)],
+    ids=["closed_d5", "closed_d7", "closed_d9", "toric_d8", "toric_d20", "rotated_d9"],
+)
+def test_resumed_searches_match_fresh_ones(case):
+    graph, syndromes = case()
+    fresh = [(mwpm_decode(graph, s), mwpm_matching_weight(graph, s)) for s in syndromes]
+    store: dict = {}
+    shared = _matchings(graph, syndromes, range(len(syndromes)), store)
+    order = list(range(len(syndromes)))
+    random.Random(27).shuffle(order)
+    shuffled = _matchings(graph, syndromes, order, {})
+    assert shared == fresh
+    assert shuffled == fresh
+    # far more searches ran than the store holds: most of them were resumed
+    searches_run = 2 * sum(len(s.defects) - 1 for s in syndromes)
+    assert 0 < len(store) < searches_run / 2
+
+
+def test_resumed_search_with_ties_at_its_pause_point():
+    # One round, every weight W but the zero-weight (p=0.5) edge 5-1; half-
+    # edges at 6, 8 and 11.  From vertex 0, vertices 2, 3, 4, 5, 9 lie at W,
+    # and 1 too, through the zero-weight edge once 5 is popped.
+    w = 0.1
+    ends = [(0, 2), (0, 3), (0, 4), (0, 5), (2, 6), (3, 6), (4, 6), (1, 6), (0, 9),
+            (9, 10), (10, 11), (11, 13), (6, 7), (7, 8)]
+    graph = _weighted_graph(
+        [(((a, 0), (b, 0)), w) for a, b in ends] + [(((5, 0), (1, 0)), 0.5)],
+        [((6, 0), w), ((8, 0), w), ((11, 0), w)],
+    )
+    adj, bdist, _ = graph.matching_index
+    big_w = bdist[6]
+    store: dict = {}
+
+    def check(window):
+        ids = sorted(window)
+        b = [bdist[v] for v in ids]
+        pairs, preds = decoders._near_pairs(adj, ids, b, store)
+        want, want_preds = decoders._near_pairs(adj, ids, b, {})
+        assert pairs == want
+        for i, j, _ in pairs:   # the same shortest path behind every kept pair
+            v, path, want_path = ids[j], [], []
+            for pred, out in ((preds[i], path), (want_preds[i], want_path)):
+                u = v
+                while u != ids[i]:
+                    out.append(pred[u])
+                    u = sum(graph.ends[pred[u]].tolist()) - u
+            assert path == want_path
+        syndrome = Syndrome(frozenset((v, 0) for v in window))
+        assert mwpm_decode(graph, syndrome, searches=store) == mwpm_decode(graph, syndrome)
+        assert (mwpm_matching_weight(graph, syndrome, searches=store)
+                == mwpm_matching_weight(graph, syndrome))
+        return pairs
+
+    # pauses on popping 2, with 3, 4, 5 and 9 tied with it on the heap
+    check([0, 2])
+    heap = store[0][2]
+    assert heap[0] == (big_w, 2) and sum(d == big_w for d, _ in heap) == 5
+    # 3 is final at the pause; 1 is popped later at the same distance
+    assert [(i, j) for i, j, _ in check([0, 1, 3])] == [(0, 1), (0, 2), (1, 2)]
+    # 8 lies at b_0 + b_8: the stop at that bound keeps the entry it popped
+    assert check([0, 8]) == []
+    assert store[0][2] == [(4 * big_w, 13)]
+    # both final at the pause, the nearer one with the larger index
+    assert [(i, j) for i, j, _ in check([0, 7, 9])] == [(0, 2), (0, 1), (1, 2)]
+    assert check([0, 13]) == [(0, 1, 4 * big_w)]
+    check([1, 2, 3, 5])
+
+
+def test_decode_keeps_no_search_state_on_the_graph():
+    graph, syndromes = _circuit_syndromes(5, 3e-3, 400, 28)
+    for kind in (DecoderKind.MWPM, DecoderKind.LAZY_MWPM):
+        decode(graph, syndromes[0], kind)     # builds the views used on first decode
+    before = dict(vars(graph))
+    index = [list(part) for part in graph.matching_index]
+    for syndrome in syndromes:
+        for kind in (DecoderKind.MWPM, DecoderKind.LAZY_MWPM):
+            decode(graph, syndrome, kind)
+    assert vars(graph).keys() == before.keys()
+    assert all(vars(graph)[k] is v for k, v in before.items())
+    assert [list(part) for part in graph.matching_index] == index
